@@ -30,19 +30,6 @@ echo "== fuzz smoke: repro --fuzz 64 --seed 1 --jobs 2"
 # reproducer was printed — file it under tests/corpus/.
 cargo run --release -q -p harness --bin repro -- --fuzz 64 --seed 1 --jobs 2
 
-echo "== dual-engine smoke: repro --table1 under ast vs decoded (byte-identical)"
-# The decoded engine's equivalence contract at the output level: the
-# paper's headline table must be byte-identical whichever engine
-# simulated it. Stdout only — stderr carries timing lines that differ.
-diff <(cargo run --release -q -p harness --bin repro -- --table1 --engine ast --jobs 2 2> /dev/null) \
-     <(cargo run --release -q -p harness --bin repro -- --table1 --engine decoded --jobs 2 2> /dev/null)
-
-echo "== decoded-engine fuzz smoke: repro --fuzz 64 --seed 1 --dual-engine --jobs 2"
-# The same fixed-seed campaign with every simulation run under BOTH
-# engines; any divergence in values, metrics, or traps is an
-# engine-mismatch failure.
-cargo run --release -q -p harness --bin repro -- --fuzz 64 --seed 1 --dual-engine --jobs 2
-
 echo "== inject smoke: repro --inject-sweep --jobs 2"
 # Fault-injection sweep in release mode: arm each registered fault
 # point in turn and assert the pipeline survives with the expected
@@ -51,17 +38,12 @@ echo "== inject smoke: repro --inject-sweep --jobs 2"
 # failure path regressed.
 cargo run --release -q -p harness --bin repro -- --inject-sweep --jobs 2
 
-echo "== panic containment: fault_injection tests (release)"
-# Includes the fixed-seed exec containment test: a deterministic subset
-# of work items panics and the failure report must be byte-identical at
-# jobs=1, jobs=4, and jobs=9 (the same suite runs debug-mode under
-# `cargo test` above).
-cargo test -q --release --test fault_injection > /dev/null
-
-echo "== corpus replay"
-# Re-run every archived fuzzer finding through the full oracle (the
-# same test runs in debug mode under `cargo test` above; this one uses
-# the release-built deps for speed and as a second optimization level).
-cargo test -q --release --test corpus_replay > /dev/null
+echo "== workspace tests (release): cargo test --workspace --release -q"
+# Every crate's unit tests plus every integration test, release-built.
+# The root-package step above runs only the root tests. This step also
+# covers the release runs of tests/fault_injection.rs (including the
+# fixed-seed exec containment test, byte-identical at jobs=1, 4 and 9)
+# and tests/corpus_replay.rs.
+cargo test --workspace --release -q
 
 echo "CI green."

@@ -200,12 +200,6 @@ pub struct OracleConfig {
     /// Register supply for allocation (and the checker). Tests and the
     /// minimizer shrink it so tiny modules still spill.
     pub alloc: AllocConfig,
-    /// Run every simulation under **both** execution engines (AST and
-    /// decoded) and fail with [`FailureKind::EngineMismatch`] on any
-    /// divergence in return values, full [`sim::Metrics`], or trap.
-    /// This is the differential gate for the decoded engine's
-    /// equivalence contract.
-    pub dual_engine: bool,
 }
 
 impl Default for OracleConfig {
@@ -215,7 +209,6 @@ impl Default for OracleConfig {
             variants: Variant::ALL.to_vec(),
             mutation: None,
             alloc: AllocConfig::default(),
-            dual_engine: false,
         }
     }
 }
@@ -233,8 +226,6 @@ pub enum FailureKind {
     Slower,
     /// Allocation or promotion panicked.
     Panicked,
-    /// The AST and decoded engines disagreed (dual-engine mode only).
-    EngineMismatch,
 }
 
 impl FailureKind {
@@ -246,7 +237,6 @@ impl FailureKind {
             FailureKind::CheckerRejected => "checker-rejected",
             FailureKind::Slower => "slower-than-baseline",
             FailureKind::Panicked => "panic",
-            FailureKind::EngineMismatch => "engine-mismatch",
         }
     }
 }
@@ -299,7 +289,6 @@ fn run_variant(
     ccm: u32,
     mutation: Option<Mutation>,
     alloc: &AllocConfig,
-    dual_engine: bool,
 ) -> Result<VariantRun, Failure> {
     let fail = |kind, detail| Failure {
         kind,
@@ -336,40 +325,7 @@ fn run_variant(
         );
         return Err(fail(FailureKind::CheckerRejected, detail));
     }
-    let machine = MachineConfig::with_ccm(ccm);
-    let result = if dual_engine {
-        // Run under both engines and demand identical observable
-        // behavior before trusting either result.
-        let bits =
-            |v: &sim::RetValues| -> Vec<u64> { v.floats.iter().map(|f| f.to_bits()).collect() };
-        let run = |engine| {
-            sim::run_module(
-                &mm,
-                MachineConfig {
-                    engine,
-                    ..machine.clone()
-                },
-                "main",
-            )
-        };
-        let ra = run(sim::Engine::Ast);
-        let rd = run(sim::Engine::Decoded);
-        let diverged = match (&ra, &rd) {
-            (Ok((va, ma)), Ok((vd, md))) => va.ints != vd.ints || bits(va) != bits(vd) || ma != md,
-            (Err(ea), Err(ed)) => ea != ed,
-            _ => true,
-        };
-        if diverged {
-            return Err(fail(
-                FailureKind::EngineMismatch,
-                format!("ast {ra:?} vs decoded {rd:?}"),
-            ));
-        }
-        rd
-    } else {
-        sim::run_module(&mm, machine, "main")
-    };
-    match result {
+    match sim::run_module(&mm, MachineConfig::with_ccm(ccm), "main") {
         Ok((vals, metrics)) => Ok(VariantRun {
             ints: vals.ints,
             float_bits: vals.floats.iter().map(|f| f.to_bits()).collect(),
@@ -394,7 +350,7 @@ pub fn run_oracle(m: &Module, cfg: &OracleConfig) -> Result<CaseStats, Failure> 
     };
     let mut first = true;
     for &ccm in &cfg.ccm_sizes {
-        let base = run_variant(m, Variant::Baseline, ccm, None, &cfg.alloc, cfg.dual_engine)?;
+        let base = run_variant(m, Variant::Baseline, ccm, None, &cfg.alloc)?;
         if first {
             stats.spilled_ranges = base.spilled;
             stats.base_cycles = base.cycles;
@@ -404,7 +360,7 @@ pub fn run_oracle(m: &Module, cfg: &OracleConfig) -> Result<CaseStats, Failure> 
             if v == Variant::Baseline {
                 continue;
             }
-            let r = run_variant(m, v, ccm, cfg.mutation, &cfg.alloc, cfg.dual_engine)?;
+            let r = run_variant(m, v, ccm, cfg.mutation, &cfg.alloc)?;
             stats.ccm_ops += r.ccm_ops;
             if r.ints != base.ints || r.float_bits != base.float_bits {
                 return Err(Failure {

@@ -75,16 +75,11 @@ fn parse_args() -> Options {
                 Ok(n) => exec::set_default_jobs(n),
                 Err(e) => die(&e),
             },
-            "--engine" => match sim::Engine::parse(&req_s(args.next(), "--engine needs a name")) {
-                Some(e) => sim::set_default_engine(e),
-                None => die("invalid --engine (ast|decoded)"),
-            },
             "--help" | "-h" => {
                 eprintln!(
                     "usage: ccmc INPUT.iloc [--variant base|postpass|postpass-cg|integrated]\n\
                      \x20            [--ccm SIZE] [--unroll N] [--licm] [--run] [--entry NAME]\n\
-                     \x20            [--emit] [--stats] [--check[=json]] [--jobs N]\n\
-                     \x20            [--engine ast|decoded]"
+                     \x20            [--emit] [--stats] [--check[=json]] [--jobs N]"
                 );
                 exit(0);
             }

@@ -15,18 +15,8 @@ fn main() {
     while i < args.len() {
         match args[i].as_str() {
             "--help" | "-h" => {
-                eprintln!("usage: probe [--jobs N] [--engine ast|decoded]");
+                eprintln!("usage: probe [--jobs N]");
                 std::process::exit(0);
-            }
-            "--engine" => {
-                i += 1;
-                match args.get(i).and_then(|v| sim::Engine::parse(v)) {
-                    Some(e) => sim::set_default_engine(e),
-                    None => {
-                        eprintln!("probe: --engine needs ast|decoded");
-                        std::process::exit(2);
-                    }
-                }
             }
             "--jobs" => {
                 i += 1;

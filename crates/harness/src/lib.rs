@@ -22,7 +22,6 @@
 //! item index, never by completion order: any `--jobs` value produces
 //! byte-identical output to `--jobs 1`.
 
-pub mod bench_json;
 pub mod cache;
 pub mod csv;
 pub mod error;

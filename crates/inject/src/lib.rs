@@ -182,14 +182,6 @@ pub fn disarm() -> u64 {
     g.take().map(|a| a.fires).unwrap_or(0)
 }
 
-/// Whether *any* fault point is armed: one relaxed atomic load, no
-/// lock. Hot loops that would otherwise hit a [`faultpoint!`] per
-/// iteration can poll this at a coarser boundary and fall back to
-/// per-iteration checks only while armed, keeping hit counts exact.
-pub fn active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
-}
-
 /// The armed point's name, if any.
 pub fn armed() -> Option<&'static str> {
     if !ACTIVE.load(Ordering::Relaxed) {

@@ -1,66 +1,29 @@
 //! Machine configuration: the paper's abstract machine.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::cache::CacheConfig;
 
-/// Which execution engine a [`Machine`](crate::Machine) run uses.
+/// The simulator's execution engine. There is one: the interpreter in
+/// [`Machine`](crate::Machine), which walks the module's blocks
+/// directly.
 ///
-/// Both engines implement the same machine model and are observationally
-/// identical — same return values, same [`Metrics`](crate::Metrics), and
-/// the same [`SimError`](crate::SimError) on every trap, including
-/// step-limit timing. `Decoded` is the default: it pre-lowers the module
-/// once into a flat instruction array (absolute-PC branches, resolved
-/// globals and callees) and dispatches without per-step hashing or block
-/// chasing. `Ast` is the original tree-walking interpreter, kept as the
-/// reference implementation for differential testing.
+/// This type and [`MachineConfig::engine`] remain only because the
+/// pipeline benchmark (`pipebench`) records
+/// `MachineConfig::default().engine.name()` in its output. A change to
+/// that benchmark can drop both.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum Engine {
-    /// Pre-decoded flat-PC execution (fast path, default).
-    Decoded,
-    /// Direct AST interpretation (reference implementation).
+    /// Direct interpretation of the module's blocks.
     Ast,
 }
 
 impl Engine {
-    /// Parses the `--engine` flag spelling.
-    pub fn parse(s: &str) -> Option<Engine> {
-        match s {
-            "decoded" => Some(Engine::Decoded),
-            "ast" => Some(Engine::Ast),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling (`"decoded"` / `"ast"`).
+    /// The engine's name as benchmark output records it: `"ast"`.
     pub fn name(self) -> &'static str {
         match self {
-            Engine::Decoded => "decoded",
             Engine::Ast => "ast",
         }
-    }
-}
-
-static ENGINE_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-wide default engine picked up by every subsequently
-/// constructed [`MachineConfig`]. Binaries call this once from
-/// `--engine NAME`; explicit `engine` fields still win.
-pub fn set_default_engine(e: Engine) {
-    ENGINE_OVERRIDE.store(
-        match e {
-            Engine::Decoded => 0,
-            Engine::Ast => 1,
-        },
-        Ordering::Relaxed,
-    );
-}
-
-/// The current process-wide default engine.
-pub fn default_engine() -> Engine {
-    match ENGINE_OVERRIDE.load(Ordering::Relaxed) {
-        1 => Engine::Ast,
-        _ => Engine::Decoded,
     }
 }
 
@@ -111,8 +74,7 @@ pub struct MachineConfig {
     /// not-yet-ready register stalls. Stores post in one cycle. `None`
     /// (default) reproduces the paper's blocking two-cycle memory.
     pub load_delay: Option<u64>,
-    /// Which execution engine to use. Purely a performance choice — both
-    /// engines are observationally identical (see [`Engine`]).
+    /// The execution engine; always [`Engine::Ast`].
     pub engine: Engine,
 }
 
@@ -126,7 +88,7 @@ impl Default for MachineConfig {
             max_steps: default_max_steps(),
             cache: None,
             load_delay: None,
-            engine: default_engine(),
+            engine: Engine::Ast,
         }
     }
 }
@@ -152,14 +114,6 @@ mod tests {
         assert_eq!(c.mem_latency, 2);
         assert_eq!(c.ccm_latency, 1);
         assert!(c.cache.is_none());
-        assert_eq!(c.engine, Engine::Decoded);
-    }
-
-    #[test]
-    fn engine_flag_roundtrip() {
-        for e in [Engine::Decoded, Engine::Ast] {
-            assert_eq!(Engine::parse(e.name()), Some(e));
-        }
-        assert_eq!(Engine::parse("turbo"), None);
+        assert_eq!(c.engine.name(), "ast");
     }
 }

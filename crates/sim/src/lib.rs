@@ -8,6 +8,9 @@
 //! "more complex execution models" ablations, and an optional
 //! pipelined-load model supports the scheduling study.
 //!
+//! There is one execution engine: [`Machine`] interprets the module's
+//! blocks directly, one instruction per step.
+//!
 //! # Example
 //!
 //! ```
@@ -31,15 +34,12 @@
 
 pub mod cache;
 pub mod config;
-pub mod decode;
 pub mod machine;
 pub mod metrics;
 
 pub use cache::{Cache, CacheConfig, CacheStats};
 pub use config::{
-    default_engine, default_max_steps, set_default_engine, set_default_max_steps, Engine,
-    MachineConfig, DEFAULT_MAX_STEPS,
+    default_max_steps, set_default_max_steps, Engine, MachineConfig, DEFAULT_MAX_STEPS,
 };
-pub use decode::DecodedModule;
 pub use machine::{run_module, Machine, RetValues, SimError};
 pub use metrics::Metrics;

@@ -15,8 +15,7 @@ use std::fmt;
 use iloc::{BlockId, FBinKind, Function, IBinKind, Module, Op, Reg, RegClass, SpillKind};
 
 use crate::cache::Cache;
-use crate::config::{Engine, MachineConfig};
-use crate::decode::DecodedModule;
+use crate::config::MachineConfig;
 use crate::metrics::Metrics;
 
 /// A simulator trap.
@@ -97,24 +96,22 @@ struct Frame<'m> {
 
 /// The machine: memory, CCM, and execution state.
 pub struct Machine<'m> {
-    pub(crate) module: &'m Module,
-    pub(crate) cfg: MachineConfig,
-    pub(crate) mem: Vec<u8>,
-    pub(crate) ccm: Vec<u8>,
-    pub(crate) globals: HashMap<String, i64>,
-    pub(crate) globals_end: i64,
-    pub(crate) cache: Option<Cache>,
+    module: &'m Module,
+    cfg: MachineConfig,
+    mem: Vec<u8>,
+    ccm: Vec<u8>,
+    globals: HashMap<String, i64>,
+    globals_end: i64,
+    cache: Option<Cache>,
     /// Execution counters, reset by [`Machine::run`].
     pub metrics: Metrics,
     /// Per-function (max gpr index, max fpr index).
     reg_limits: Vec<(u32, u32)>,
-    /// Lazily built flat-PC lowering used by [`Engine::Decoded`].
-    decoded: Option<DecodedModule>,
     /// Dirty main-memory watermarks: the byte range `[dirty_lo,
     /// dirty_hi)` written by stores since the last reset. [`Machine::run`]
     /// clears only this range instead of re-zeroing all of `mem`.
-    pub(crate) dirty_lo: usize,
-    pub(crate) dirty_hi: usize,
+    dirty_lo: usize,
+    dirty_hi: usize,
 }
 
 impl<'m> Machine<'m> {
@@ -155,7 +152,6 @@ impl<'m> Machine<'m> {
             cache,
             metrics: Metrics::default(),
             reg_limits,
-            decoded: None,
             dirty_lo: usize::MAX,
             dirty_hi: 0,
         }
@@ -173,13 +169,6 @@ impl<'m> Machine<'m> {
             .get(name)
             .copied()
             .ok_or_else(|| SimError::UnknownGlobal(name.to_string()))
-    }
-
-    /// The global symbol table this machine laid out: symbol → base
-    /// address. This is the layout [`DecodedModule::decode`] bakes
-    /// `loadSym` addresses from.
-    pub fn globals_map(&self) -> &HashMap<String, i64> {
-        &self.globals
     }
 
     /// Raw bytes of global `name` (after execution, reflects stores).
@@ -205,12 +194,6 @@ impl<'m> Machine<'m> {
 
     /// Runs `entry` (which must take no parameters) to completion.
     ///
-    /// Dispatches on [`MachineConfig::engine`]. The decoded engine
-    /// lowers the module once (cached across runs) and executes the
-    /// flat-PC form; the AST engine interprets the module directly. Both
-    /// are observationally identical: same return values, same
-    /// [`Metrics`], same [`SimError`] on every trap.
-    ///
     /// # Errors
     ///
     /// Returns a [`SimError`] on any trap; see the enum for conditions.
@@ -219,20 +202,7 @@ impl<'m> Machine<'m> {
         if inject::faultpoint!("sim.unknown_global") {
             return Err(SimError::UnknownGlobal("__injected__".to_string()));
         }
-        match self.cfg.engine {
-            Engine::Ast => self.run_ast(entry),
-            Engine::Decoded => {
-                // Decode once, reuse across runs; take/restore avoids
-                // borrowing `self` while the loop mutates it.
-                let dec = match self.decoded.take() {
-                    Some(d) => d,
-                    None => DecodedModule::decode(self.module, &self.globals),
-                };
-                let r = self.exec_decoded(&dec, entry);
-                self.decoded = Some(dec);
-                r
-            }
-        }
+        self.interpret(entry)
     }
 
     /// Per-run reset: metrics, the CCM, and only the *dirty* range of
@@ -254,8 +224,9 @@ impl<'m> Machine<'m> {
         }
     }
 
-    /// The tree-walking reference interpreter ([`Engine::Ast`]).
-    fn run_ast(&mut self, entry: &str) -> Result<RetValues, SimError> {
+    /// The interpreter loop: one instruction per step, walking the
+    /// module's blocks directly.
+    fn interpret(&mut self, entry: &str) -> Result<RetValues, SimError> {
         let findex = self.module.function_indices();
         let entry_idx = *findex
             .get(entry)
@@ -408,7 +379,7 @@ impl<'m> Machine<'m> {
                         Op::LoadAI { off, .. } => *off,
                         _ => 0,
                     };
-                    let a = frame.gpr[addr.index() as usize] + off;
+                    let a = effective_addr(frame.gpr[addr.index() as usize], off);
                     let v = self.read_i32(a)?;
                     let lat = self.mem_access(a, false);
                     let delay = self.cfg.load_delay;
@@ -430,7 +401,7 @@ impl<'m> Machine<'m> {
                         Op::FLoadAI { off, .. } => *off,
                         _ => 0,
                     };
-                    let a = frame.gpr[addr.index() as usize] + off;
+                    let a = effective_addr(frame.gpr[addr.index() as usize], off);
                     let v = self.read_f64(a)?;
                     let lat = self.mem_access(a, false);
                     let delay = self.cfg.load_delay;
@@ -452,7 +423,7 @@ impl<'m> Machine<'m> {
                         Op::StoreAI { off, .. } => *off,
                         _ => 0,
                     };
-                    let a = frame.gpr[addr.index() as usize] + off;
+                    let a = effective_addr(frame.gpr[addr.index() as usize], off);
                     let v = frame.gpr[val.index() as usize] as i32;
                     self.write_i32(a, v)?;
                     let lat = match self.cfg.load_delay {
@@ -468,7 +439,7 @@ impl<'m> Machine<'m> {
                         Op::FStoreAI { off, .. } => *off,
                         _ => 0,
                     };
-                    let a = frame.gpr[addr.index() as usize] + off;
+                    let a = effective_addr(frame.gpr[addr.index() as usize], off);
                     let v = frame.fpr[val.index() as usize];
                     self.write_f64(a, v)?;
                     let lat = match self.cfg.load_delay {
@@ -647,23 +618,29 @@ impl<'m> Machine<'m> {
         })
     }
 
-    pub(crate) fn mem_access(&mut self, addr: i64, is_store: bool) -> u64 {
+    fn mem_access(&mut self, addr: i64, is_store: bool) -> u64 {
         match &mut self.cache {
             Some(c) => c.access(addr as u64, is_store),
             None => self.cfg.mem_latency,
         }
     }
 
+    /// Checks `[addr, addr + size)` against main memory. An `addr + size`
+    /// past `i64::MAX` is out of bounds, never a wrapped address.
     fn check_addr(&self, addr: i64, size: i64) -> Result<usize, SimError> {
-        if addr < 0 || addr + size > self.cfg.mem_size as i64 {
+        let end = addr.checked_add(size);
+        if addr < 0 || end.is_none_or(|end| end > self.cfg.mem_size as i64) {
             Err(SimError::MemOutOfBounds { addr })
         } else {
             Ok(addr as usize)
         }
     }
 
-    pub(crate) fn ccm_check(&self, off: u32, size: u32) -> Result<(), SimError> {
-        if off + size > self.cfg.ccm_size {
+    /// Checks `[off, off + size)` against the CCM. An `off + size` past
+    /// `u32::MAX` is out of bounds, never a wrapped offset.
+    fn ccm_check(&self, off: u32, size: u32) -> Result<(), SimError> {
+        let end = off.checked_add(size);
+        if end.is_none_or(|end| end > self.cfg.ccm_size) {
             Err(SimError::CcmOutOfBounds {
                 off,
                 size: self.cfg.ccm_size,
@@ -673,14 +650,14 @@ impl<'m> Machine<'m> {
         }
     }
 
-    pub(crate) fn read_i32(&self, addr: i64) -> Result<i32, SimError> {
+    fn read_i32(&self, addr: i64) -> Result<i32, SimError> {
         let a = self.check_addr(addr, 4)?;
         Ok(i32::from_le_bytes(
             self.mem[a..a + 4].try_into().expect("4 bytes"),
         ))
     }
 
-    pub(crate) fn write_i32(&mut self, addr: i64, v: i32) -> Result<(), SimError> {
+    fn write_i32(&mut self, addr: i64, v: i32) -> Result<(), SimError> {
         let a = self.check_addr(addr, 4)?;
         self.mem[a..a + 4].copy_from_slice(&v.to_le_bytes());
         self.dirty_lo = self.dirty_lo.min(a);
@@ -688,14 +665,14 @@ impl<'m> Machine<'m> {
         Ok(())
     }
 
-    pub(crate) fn read_f64(&self, addr: i64) -> Result<f64, SimError> {
+    fn read_f64(&self, addr: i64) -> Result<f64, SimError> {
         let a = self.check_addr(addr, 8)?;
         Ok(f64::from_le_bytes(
             self.mem[a..a + 8].try_into().expect("8 bytes"),
         ))
     }
 
-    pub(crate) fn write_f64(&mut self, addr: i64, v: f64) -> Result<(), SimError> {
+    fn write_f64(&mut self, addr: i64, v: f64) -> Result<(), SimError> {
         let a = self.check_addr(addr, 8)?;
         self.mem[a..a + 8].copy_from_slice(&v.to_le_bytes());
         self.dirty_lo = self.dirty_lo.min(a);
@@ -704,11 +681,18 @@ impl<'m> Machine<'m> {
     }
 }
 
+/// The address `base + off` of a main-memory access. A sum outside the
+/// `i64` range saturates, which lies outside any memory, so the access
+/// traps as [`SimError::MemOutOfBounds`] instead of wrapping around.
+fn effective_addr(base: i64, off: i64) -> i64 {
+    base.saturating_add(off)
+}
+
 /// Integer ALU semantics: the machine's general-purpose registers hold
 /// 32-bit signed values (Fortran `INTEGER`), kept sign-extended in the
 /// interpreter's 64-bit register file. Every result wraps to 32 bits, so
 /// a value spilled through a 4-byte slot reloads bit-identically.
-pub(crate) fn ibin(kind: IBinKind, a: i64, b: i64) -> Result<i64, SimError> {
+fn ibin(kind: IBinKind, a: i64, b: i64) -> Result<i64, SimError> {
     let (a, b) = (a as i32, b as i32);
     let r: i32 = match kind {
         IBinKind::Add => a.wrapping_add(b),
@@ -735,7 +719,7 @@ pub(crate) fn ibin(kind: IBinKind, a: i64, b: i64) -> Result<i64, SimError> {
     Ok(r as i64)
 }
 
-pub(crate) fn cmp(kind: iloc::CmpKind, a: &i64, b: &i64) -> i64 {
+fn cmp(kind: iloc::CmpKind, a: &i64, b: &i64) -> i64 {
     use iloc::CmpKind::*;
     (match kind {
         Lt => a < b,
@@ -747,7 +731,7 @@ pub(crate) fn cmp(kind: iloc::CmpKind, a: &i64, b: &i64) -> i64 {
     }) as i64
 }
 
-pub(crate) fn fcmp(kind: iloc::CmpKind, a: f64, b: f64) -> i64 {
+fn fcmp(kind: iloc::CmpKind, a: f64, b: f64) -> i64 {
     use iloc::CmpKind::*;
     (match kind {
         Lt => a < b,
@@ -1008,14 +992,230 @@ mod tests {
         fb.switch_to(spin);
         fb.jump(spin);
         let m = module_of(vec![fb.finish()], vec![]);
-        let cfg = MachineConfig {
-            max_steps: 1000,
+        for max_steps in [1, 2, 17, 1000] {
+            let cfg = MachineConfig {
+                max_steps,
+                ..MachineConfig::default()
+            };
+            let mut machine = Machine::new(&m, cfg);
+            assert_eq!(machine.run("main").unwrap_err(), SimError::StepLimit);
+            // The limit fires on the step after the budget: every
+            // budgeted jump ran and cost its cycle.
+            assert_eq!(machine.metrics.instrs, max_steps + 1, "{max_steps}");
+            assert_eq!(machine.metrics.cycles, max_steps, "{max_steps}");
+        }
+    }
+
+    #[test]
+    fn step_budget_equal_to_instruction_count_suffices() {
+        let mut fb = FuncBuilder::new("main");
+        fb.set_ret_classes(&[RegClass::Gpr]);
+        let acc = fb.vreg(RegClass::Gpr);
+        fb.emit(Op::LoadI { imm: 0, dst: acc });
+        fb.counted_loop(0, 9, 1, |fb, iv| {
+            let t = fb.add(acc, iv);
+            fb.emit(Op::I2I { src: t, dst: acc });
+        });
+        fb.ret(&[acc]);
+        let m = module_of(vec![fb.finish()], vec![]);
+        let (v, metrics) = run_module(&m, MachineConfig::default(), "main").unwrap();
+        let exact = MachineConfig {
+            max_steps: metrics.instrs,
+            ..MachineConfig::default()
+        };
+        assert_eq!(run_module(&m, exact, "main").unwrap(), (v, metrics));
+        let short = MachineConfig {
+            max_steps: metrics.instrs - 1,
             ..MachineConfig::default()
         };
         assert_eq!(
-            run_module(&m, cfg, "main").unwrap_err(),
+            run_module(&m, short, "main").unwrap_err(),
             SimError::StepLimit
         );
+    }
+
+    #[test]
+    fn missing_terminator_traps() {
+        let mut f = Function::new("main");
+        let e = f.entry();
+        let v = f.new_vreg(RegClass::Gpr);
+        f.block_mut(e)
+            .instrs
+            .push(iloc::Instr::new(Op::LoadI { imm: 1, dst: v }));
+        let mut m = Module::new();
+        m.push_function(f);
+        let mut machine = Machine::new(&m, MachineConfig::default());
+        assert_eq!(
+            machine.run("main").unwrap_err(),
+            SimError::MissingTerminator
+        );
+        // The fault is the second step: the `loadI` ran, nothing else.
+        assert_eq!(machine.metrics.instrs, 2);
+        assert_eq!(machine.metrics.cycles, 1);
+    }
+
+    #[test]
+    fn unknown_callee_traps() {
+        let mut fb = FuncBuilder::new("main");
+        fb.call("ghost", &[], &[]);
+        fb.ret(&[]);
+        let mut m = Module::new();
+        m.push_function(fb.finish());
+        assert_eq!(
+            run_module(&m, MachineConfig::default(), "main").unwrap_err(),
+            SimError::UnknownFunction("ghost".to_string())
+        );
+    }
+
+    #[test]
+    fn unknown_global_traps_only_when_executed() {
+        // `loadSym nope` sits on the path `cond` selects when nonzero.
+        let module = |cond: i64| {
+            let mut fb = FuncBuilder::new("main");
+            fb.set_ret_classes(&[RegClass::Gpr]);
+            let c = fb.loadi(cond);
+            let bad = fb.block("bad");
+            let good = fb.block("good");
+            fb.cbr(c, bad, good);
+            fb.switch_to(bad);
+            let d = fb.vreg(RegClass::Gpr);
+            fb.emit(Op::LoadSym {
+                sym: "nope".to_string(),
+                dst: d,
+            });
+            fb.ret(&[d]);
+            fb.switch_to(good);
+            let r = fb.loadi(7);
+            fb.ret(&[r]);
+            let mut m = Module::new();
+            m.push_function(fb.finish());
+            m
+        };
+        let (v, _) = run_module(&module(0), MachineConfig::default(), "main")
+            .expect("a loadSym that never runs must not trap");
+        assert_eq!(v.ints, vec![7]);
+        assert_eq!(
+            run_module(&module(1), MachineConfig::default(), "main").unwrap_err(),
+            SimError::UnknownGlobal("nope".to_string())
+        );
+    }
+
+    #[test]
+    fn reruns_are_independent() {
+        let mut fb = FuncBuilder::new("main");
+        fb.set_ret_classes(&[RegClass::Gpr]);
+        let base = fb.loadsym("g");
+        let old = fb.loadai(base, 0);
+        let v = fb.loadi(41);
+        let v1 = fb.addi(v, 1);
+        fb.storeai(v1, base, 0);
+        let now = fb.loadai(base, 0);
+        let s = fb.add(old, now);
+        fb.ret(&[s]);
+        let m = module_of(vec![fb.finish()], vec![Global::zeroed("g", 8)]);
+        let mut machine = Machine::new(&m, MachineConfig::default());
+        let r1 = machine.run("main").unwrap();
+        let m1 = machine.metrics;
+        // `old` must read 0 again on the second run: the reset re-zeroes
+        // the range the first run's store dirtied.
+        let r2 = machine.run("main").unwrap();
+        assert_eq!(r1.ints, vec![42]);
+        assert_eq!(r1, r2);
+        assert_eq!(m1, machine.metrics);
+    }
+
+    #[test]
+    fn ccm_offset_overflow_traps() {
+        // `off + size` wraps past u32::MAX to a small, in-bounds offset.
+        let off = u32::MAX - 1;
+        let emits: [fn(&mut FuncBuilder, u32); 4] = [
+            |fb, off| {
+                let val = fb.loadi(1);
+                fb.emit(Op::CcmStore { val, off });
+            },
+            |fb, off| {
+                let dst = fb.vreg(RegClass::Gpr);
+                fb.emit(Op::CcmLoad { off, dst });
+            },
+            |fb, off| {
+                let val = fb.loadf(1.0);
+                fb.emit(Op::CcmFStore { val, off });
+            },
+            |fb, off| {
+                let dst = fb.vreg(RegClass::Fpr);
+                fb.emit(Op::CcmFLoad { off, dst });
+            },
+        ];
+        for emit in emits {
+            let mut fb = FuncBuilder::new("main");
+            emit(&mut fb, off);
+            fb.ret(&[]);
+            let m = module_of(vec![fb.finish()], vec![]);
+            assert_eq!(
+                run_module(&m, MachineConfig::with_ccm(1024), "main").unwrap_err(),
+                SimError::CcmOutOfBounds { off, size: 1024 }
+            );
+        }
+    }
+
+    #[test]
+    fn address_overflow_traps() {
+        // `base + off` overflows i64 in either direction, or `base + off`
+        // fits and adding the access size overflows.
+        let cases = [(2, i64::MAX - 1), (-5, i64::MIN), (1, i64::MAX - 3)];
+        let emits: [fn(&mut FuncBuilder, Reg, i64); 4] = [
+            |fb, base, off| {
+                fb.loadai(base, off);
+            },
+            |fb, base, off| {
+                fb.storeai(base, base, off);
+            },
+            |fb, base, off| {
+                fb.floadai(base, off);
+            },
+            |fb, base, off| {
+                let val = fb.loadf(1.0);
+                fb.fstoreai(val, base, off);
+            },
+        ];
+        for (base, off) in cases {
+            for emit in emits {
+                let mut fb = FuncBuilder::new("main");
+                let b = fb.loadi(base);
+                emit(&mut fb, b, off);
+                fb.ret(&[]);
+                let m = module_of(vec![fb.finish()], vec![]);
+                let err = run_module(&m, MachineConfig::default(), "main").unwrap_err();
+                assert!(
+                    matches!(err, SimError::MemOutOfBounds { .. }),
+                    "base {base} off {off}: {err:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_class_args_and_multi_rets() {
+        let mut callee = FuncBuilder::new("mix");
+        let a = callee.param(RegClass::Gpr);
+        let x = callee.param(RegClass::Fpr);
+        let b = callee.param(RegClass::Gpr);
+        callee.set_ret_classes(&[RegClass::Fpr, RegClass::Gpr]);
+        let af = callee.i2f(a);
+        let s = callee.fadd(af, x);
+        let t = callee.add(a, b);
+        callee.ret(&[s, t]);
+        let mut main = FuncBuilder::new("main");
+        main.set_ret_classes(&[RegClass::Fpr, RegClass::Gpr]);
+        let i = main.loadi(3);
+        let j = main.loadi(4);
+        let w = main.loadf(0.5);
+        let rets = main.call("mix", &[i, w, j], &[RegClass::Fpr, RegClass::Gpr]);
+        main.ret(&[rets[0], rets[1]]);
+        let m = module_of(vec![callee.finish(), main.finish()], vec![]);
+        let (v, _) = run_module(&m, MachineConfig::default(), "main").unwrap();
+        assert_eq!(v.floats, vec![3.5]);
+        assert_eq!(v.ints, vec![7]);
     }
 
     #[test]
