@@ -1,25 +1,4 @@
 #![warn(missing_docs)]
-//! Benchmark support: shared helpers for the Criterion benches that
-//! regenerate the paper's tables and figures (see `benches/`).
-
-use harness::{measure, Measurement, Variant};
-use sim::MachineConfig;
-
-/// Representative spill-heavy kernels used by the reduced per-iteration
-/// benchmark bodies (the full experiments live in the `repro` binary).
-pub const BENCH_KERNELS: [&str; 6] = ["fpppp", "radf5", "deseco", "vslv1xX", "urand", "zeroin"];
-
-/// Runs one variant over the benchmark kernel subset and returns total
-/// cycles (consumed so the optimizer cannot elide the work).
-pub fn run_subset(variant: Variant, ccm_size: u32) -> u64 {
-    let machine = MachineConfig::with_ccm(ccm_size);
-    let mut total = 0;
-    for name in BENCH_KERNELS {
-        let k = suite::kernel(name).expect("kernel exists");
-        let m = suite::build_optimized(&k);
-        let r: Measurement =
-            measure(m, variant, &machine).unwrap_or_else(|e| panic!("bench subset: {e}"));
-        total += r.cycles;
-    }
-    total
-}
+//! Compile-phase benchmarks (see `benches/phases.rs`). End-to-end
+//! pipeline timing lives in the `pipebench` benchmark at the repository
+//! root.

@@ -129,7 +129,7 @@ pub fn render_json(diags: &[Diagnostic]) -> String {
 }
 
 /// Appends `s` as a JSON string literal, escaping per RFC 8259.
-fn json_string(s: &str, out: &mut String) {
+pub fn json_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -65,7 +65,7 @@ mod diag;
 mod machine;
 mod slots;
 
-pub use diag::{render_json, render_text, Diagnostic, Severity};
+pub use diag::{json_string, render_json, render_text, Diagnostic, Severity};
 
 /// What the checker assumes about the machine and the allocation run.
 #[derive(Copy, Clone, Debug)]
@@ -128,6 +128,14 @@ pub fn errors(diags: &[Diagnostic]) -> Vec<&Diagnostic> {
         .iter()
         .filter(|d| d.severity == Severity::Error)
         .collect()
+}
+
+/// A one-line summary of the errors in `diags`
+/// (`"{n} checker error(s); first: …"`), or `None` when there are none.
+pub fn error_summary(diags: &[Diagnostic]) -> Option<String> {
+    let errors = errors(diags);
+    let first = errors.first()?;
+    Some(format!("{} checker error(s); first: {first}", errors.len()))
 }
 
 #[cfg(test)]

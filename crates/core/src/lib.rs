@@ -13,7 +13,9 @@
 //! * [`postpass_promote`] — the post-pass CCM allocator, intraprocedural
 //!   and interprocedural (Figure 1);
 //! * [`CcmPlacer`] / [`allocate_module_integrated`] — CCM spilling
-//!   integrated into the Chaitin-Briggs allocator (§3.2, Figure 2).
+//!   integrated into the Chaitin-Briggs allocator (§3.2, Figure 2);
+//! * [`Variant`] / [`allocate`] — the four allocation configurations
+//!   the paper measures, applied through one dispatch.
 //!
 //! # Quickstart
 //!
@@ -47,6 +49,7 @@ pub mod compact;
 pub mod integrated;
 pub mod postpass;
 pub mod slots;
+pub mod variant;
 
 /// One function's graceful fallback from CCM allocation to plain
 /// heavyweight spilling (the paper's own §3.1 escape hatch: anything
@@ -78,3 +81,4 @@ pub use integrated::{
 };
 pub use postpass::{postpass_promote, FnPromotion, PostpassConfig};
 pub use slots::{CallSite, SlotAnalysis};
+pub use variant::{allocate, AllocOutcome, Variant};

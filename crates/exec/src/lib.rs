@@ -141,17 +141,6 @@ where
     out
 }
 
-/// [`par_map`] with the process-wide [`default_jobs`] worker count.
-pub fn par_map_default<I, T, F, L>(items: &[I], label: L, f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&I) -> T + Sync,
-    L: Fn(&I) -> String + Sync,
-{
-    par_map(default_jobs(), items, label, f)
-}
-
 /// A stopwatch for the binaries' per-stage timing lines.
 pub struct Stage {
     name: String,

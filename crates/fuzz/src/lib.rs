@@ -25,10 +25,11 @@ pub mod gen;
 pub mod min;
 pub mod oracle;
 
+pub use ccm::Variant;
 pub use gen::gen_module;
 pub use min::minimize;
 pub use oracle::{
-    apply_mutation, run_oracle, CaseStats, Failure, FailureKind, Mutation, OracleConfig, Variant,
+    apply_mutation, run_oracle, CaseStats, Failure, FailureKind, Mutation, OracleConfig,
 };
 
 use iloc::Module;
@@ -163,7 +164,7 @@ pub fn campaign_report(n: usize, seed: u64, jobs: usize, cfg: &OracleConfig) -> 
             r.index,
             r.seed,
             f.kind.label(),
-            f.variant.label(),
+            f.variant.short(),
             f.ccm,
             f.detail
         );

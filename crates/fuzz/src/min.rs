@@ -32,9 +32,10 @@
 //! failing CCM size (plus the baseline reference), which cuts shrink
 //! time by roughly the variant-count × size-count product.
 
+use ccm::Variant;
 use iloc::{BlockId, Instr, Module, Op};
 
-use crate::oracle::{run_oracle, Failure, OracleConfig, Variant};
+use crate::oracle::{run_oracle, Failure, OracleConfig};
 
 /// Shrinks `m` to a smaller module that still fails the oracle with the
 /// same bug. Returns the minimized module and its failure, or `None` if
@@ -364,7 +365,7 @@ fn shrink_globals(
 mod tests {
     use super::*;
     use crate::gen::gen_module;
-    use crate::oracle::{allocate, apply_mutation, CaseStats, Mutation};
+    use crate::oracle::{apply_mutation, CaseStats, Mutation};
 
     /// The acceptance-criteria mutation test: an injected allocator bug
     /// must be caught and shrink to <= 2 functions / <= 12 ops. Runs
@@ -392,12 +393,7 @@ mod tests {
         };
         // Make sure the mutation actually applies to this module.
         let mut probe = m.clone();
-        allocate(
-            &mut probe,
-            crate::oracle::Variant::PostPassCallGraph,
-            64,
-            &tiny,
-        );
+        ccm::allocate(&mut probe, Variant::PostPassCallGraph, 64, &tiny);
         assert!(apply_mutation(&mut probe, Mutation::BumpCcmOffset));
 
         let (small, f) = minimize(&m, &broken).expect("bug must be caught");

@@ -24,81 +24,10 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use ccm::Variant;
 use iloc::{Module, Op, SpillKind};
 use regalloc::AllocConfig;
 use sim::MachineConfig;
-
-/// The allocation strategy under test: the paper's three CCM methods
-/// plus the no-CCM baseline. Mirrors the harness pipeline's variant set;
-/// redefined here so `fuzz` stays independent of the harness crate (the
-/// harness depends on `fuzz` for `repro --fuzz`).
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub enum Variant {
-    /// Conventional Chaitin-Briggs; all spills to main memory.
-    Baseline,
-    /// Post-pass CCM promotion, no interprocedural information.
-    PostPass,
-    /// Post-pass CCM promotion with call-graph information.
-    PostPassCallGraph,
-    /// CCM spilling integrated into the Chaitin-Briggs allocator.
-    Integrated,
-}
-
-impl Variant {
-    /// All variants, baseline first.
-    pub const ALL: [Variant; 4] = [
-        Variant::Baseline,
-        Variant::PostPass,
-        Variant::PostPassCallGraph,
-        Variant::Integrated,
-    ];
-
-    /// Short name used in fuzz reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Variant::Baseline => "baseline",
-            Variant::PostPass => "postpass",
-            Variant::PostPassCallGraph => "postpass+cg",
-            Variant::Integrated => "integrated",
-        }
-    }
-}
-
-/// Applies `variant` allocation at `ccm_size` under `cfg`, returning the
-/// number of spilled live ranges. Same dispatch as the harness pipeline,
-/// with the register supply configurable so tests (and the minimizer)
-/// can force spilling on tiny modules.
-pub fn allocate(m: &mut Module, variant: Variant, ccm_size: u32, cfg: &AllocConfig) -> usize {
-    match variant {
-        Variant::Baseline => regalloc::allocate_module(m, cfg).total_spilled(),
-        Variant::PostPass => {
-            let n = regalloc::allocate_module(m, cfg).total_spilled();
-            ccm::postpass_promote(
-                m,
-                &ccm::PostpassConfig {
-                    ccm_size,
-                    interprocedural: false,
-                },
-            );
-            n
-        }
-        Variant::PostPassCallGraph => {
-            let n = regalloc::allocate_module(m, cfg).total_spilled();
-            ccm::postpass_promote(
-                m,
-                &ccm::PostpassConfig {
-                    ccm_size,
-                    interprocedural: true,
-                },
-            );
-            n
-        }
-        Variant::Integrated => {
-            let (a, _, _) = ccm::allocate_module_integrated(m, cfg, ccm_size);
-            a.total_spilled()
-        }
-    }
-}
 
 /// A deliberate post-allocation bug, for testing the oracle itself.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -298,32 +227,17 @@ fn run_variant(
     };
     let allocated = catch_unwind(AssertUnwindSafe(|| {
         let mut mm = m.clone();
-        let spilled = allocate(&mut mm, variant, ccm, alloc);
+        let spilled = ccm::allocate(&mut mm, variant, ccm, alloc).spilled_ranges;
         if let Some(mu) = mutation.filter(|_| variant != Variant::Baseline) {
             apply_mutation(&mut mm, mu);
         }
         (mm, spilled)
     }));
-    let (mm, spilled) = match allocated {
-        Ok(r) => r,
-        Err(p) => {
-            let msg = p
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| p.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_else(|| "non-string panic".to_string());
-            return Err(fail(FailureKind::Panicked, msg));
-        }
-    };
+    let (mm, spilled) =
+        allocated.map_err(|p| fail(FailureKind::Panicked, exec::render_payload(p.as_ref())))?;
     let diags = checker::check_module(&mm, &checker::CheckerConfig::with_alloc(ccm, *alloc));
-    if checker::has_errors(&diags) {
-        let errors = checker::errors(&diags);
-        let detail = format!(
-            "{} checker error(s); first: {}",
-            errors.len(),
-            errors.first().map(|d| d.to_string()).unwrap_or_default()
-        );
-        return Err(fail(FailureKind::CheckerRejected, detail));
+    if let Some(summary) = checker::error_summary(&diags) {
+        return Err(fail(FailureKind::CheckerRejected, summary));
     }
     match sim::run_module(&mm, MachineConfig::with_ccm(ccm), "main") {
         Ok((vals, metrics)) => Ok(VariantRun {
@@ -371,7 +285,7 @@ pub fn run_oracle(m: &Module, cfg: &OracleConfig) -> Result<CaseStats, Failure> 
                         "baseline ints {:?} floats {:x?}, {} ints {:?} floats {:x?}",
                         base.ints,
                         base.float_bits,
-                        v.label(),
+                        v.short(),
                         r.ints,
                         r.float_bits
                     ),
@@ -404,7 +318,7 @@ mod tests {
                 panic!(
                     "seed {seed} failed honestly: {:?} {} at ccm {}: {}",
                     f.kind,
-                    f.variant.label(),
+                    f.variant.short(),
                     f.ccm,
                     f.detail
                 );
@@ -438,7 +352,7 @@ mod tests {
             // two always apply on a promoted module. If the mutation
             // could not apply, passing is the correct outcome.
             let mut probe = m.clone();
-            allocate(&mut probe, Variant::PostPassCallGraph, 64, &broken.alloc);
+            ccm::allocate(&mut probe, Variant::PostPassCallGraph, 64, &broken.alloc);
             let applies = apply_mutation(&mut probe, mu);
             let verdict = run_oracle(&m, &broken);
             if applies {

@@ -17,7 +17,8 @@
 
 use std::process::exit;
 
-use harness::{allocate_variant, Variant};
+use ccm::Variant;
+use regalloc::AllocConfig;
 use sim::MachineConfig;
 
 struct Options {
@@ -138,7 +139,7 @@ fn main() {
     let mut spilled = 0;
     let mut degraded: Vec<ccm::Degradation> = Vec::new();
     staged("allocate", &mut || {
-        let outcome = allocate_variant(&mut m, o.variant, o.ccm_size);
+        let outcome = ccm::allocate(&mut m, o.variant, o.ccm_size, &AllocConfig::default());
         spilled = outcome.spilled_ranges;
         degraded = outcome.degraded;
         m.verify()

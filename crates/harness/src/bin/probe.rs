@@ -63,7 +63,12 @@ fn main() {
             }
             // Checker verdict on the CCM-promoted allocation.
             let mut cm = m.clone();
-            harness::allocate_variant(&mut cm, harness::Variant::PostPassCallGraph, CCM);
+            ccm::allocate(
+                &mut cm,
+                ccm::Variant::PostPassCallGraph,
+                CCM,
+                &regalloc::AllocConfig::default(),
+            );
             let diags = harness::check_allocated(&cm, CCM);
             let errors = checker::errors(&diags).len();
             let verdict = if diags.is_empty() {

@@ -36,12 +36,13 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
+use ccm::Variant;
 use iloc::Module;
 use sim::MachineConfig;
 use suite::{Kernel, Program};
 
 use crate::error::{PipelineError, Stage};
-use crate::pipeline::{self, Measurement, Variant};
+use crate::pipeline::{self, Allocated, Measurement};
 
 /// Locks a cache map, recovering from poisoning: a panic caught by the
 /// containment layer must not wedge every later measurement.
@@ -99,19 +100,6 @@ pub fn program(p: &Program) -> Result<Arc<Module>, PipelineError> {
     memoized(program_cache(), p.name, move || suite::build_program(&p))
 }
 
-/// One allocated-and-checked configuration of one suite unit.
-#[derive(Clone)]
-pub struct Allocated {
-    /// The module after [`pipeline::allocate_variant`].
-    pub module: Arc<Module>,
-    /// Every diagnostic from [`pipeline::check_allocated`].
-    pub diags: Arc<Vec<checker::Diagnostic>>,
-    /// Live ranges spilled during allocation.
-    pub spilled_ranges: usize,
-    /// Per-function CCM→heavyweight degradation events.
-    pub degraded: Arc<Vec<ccm::Degradation>>,
-}
-
 type AllocKey = (String, Variant, u32);
 type AllocMap = Mutex<HashMap<AllocKey, Allocated>>;
 
@@ -120,14 +108,10 @@ fn alloc_cache() -> &'static AllocMap {
     CACHE.get_or_init(AllocMap::default)
 }
 
-/// Allocates `base` under `variant` at `ccm_size` and runs the
-/// post-allocation checker, memoized per (unit name, variant, CCM size).
-/// Kernel and program names are globally unique in the suite, so the flat
-/// name key cannot collide; `base` must be the cached build for `name`.
-///
-/// Checker diagnostics are data here, not failure: `--check` reports
-/// error rows rather than skipping them. [`measure_unit`] applies the
-/// error gate before simulating.
+/// [`pipeline::allocate_checked`] on `base`, memoized per (unit name,
+/// variant, CCM size). Kernel and program names are globally unique in
+/// the suite, so the flat name key cannot collide; `base` must be the
+/// cached build for `name`.
 ///
 /// # Errors
 ///
@@ -142,15 +126,7 @@ pub fn allocated(
     if let Some(a) = lock(alloc_cache()).get(&key) {
         return Ok(a.clone());
     }
-    let mut m = (**base).clone();
-    let outcome = pipeline::allocate_contained(&mut m, name, variant, ccm_size)?;
-    let diags = pipeline::check_allocated(&m, ccm_size);
-    let built = Allocated {
-        module: Arc::new(m),
-        diags: Arc::new(diags),
-        spilled_ranges: outcome.spilled_ranges,
-        degraded: Arc::new(outcome.degraded),
-    };
+    let built = pipeline::allocate_checked(name, (**base).clone(), variant, ccm_size)?;
     Ok(lock(alloc_cache()).entry(key).or_insert(built).clone())
 }
 
@@ -230,25 +206,7 @@ pub fn measure_unit(
         }
     }
     let a = allocated(name, base, variant, machine.ccm_size)?;
-    pipeline::checker_gate(&a.diags, name, variant, machine.ccm_size)?;
-    let (vals, metrics) = sim::run_module(&a.module, machine.clone(), "main").map_err(|e| {
-        PipelineError::new(Stage::Sim, name, e.to_string()).at(variant, machine.ccm_size)
-    })?;
-    let spill_bytes = a
-        .module
-        .functions
-        .iter()
-        .map(|f| f.frame.spill_bytes())
-        .sum();
-    let built = Measurement {
-        cycles: metrics.cycles,
-        mem_cycles: metrics.mem_op_cycles,
-        metrics,
-        checksum: vals.floats.first().copied().unwrap_or(f64::NAN),
-        spill_bytes,
-        spilled_ranges: a.spilled_ranges,
-        degraded: (*a.degraded).clone(),
-    };
+    let built = pipeline::measure_allocated(name, &a, variant, machine)?;
     let mut sealed = Sealed {
         digest: digest(&built),
         m: built.clone(),

@@ -18,7 +18,7 @@
 use std::fmt;
 use std::sync::Mutex;
 
-use crate::pipeline::Variant;
+use ccm::Variant;
 
 /// Which pipeline stage a failure came from.
 #[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -147,43 +147,31 @@ pub fn render_text(errors: &[PipelineError]) -> String {
 /// Renders the failure report as a JSON array (`--errors-json`).
 pub fn render_json(errors: &[PipelineError]) -> String {
     use std::fmt::Write as _;
-    let esc = |s: &str| {
-        s.chars()
-            .flat_map(|c| match c {
-                '"' => "\\\"".chars().collect::<Vec<_>>(),
-                '\\' => "\\\\".chars().collect(),
-                '\n' => "\\n".chars().collect(),
-                '\t' => "\\t".chars().collect(),
-                c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-                c => vec![c],
-            })
-            .collect::<String>()
-    };
     let mut s = String::from("[");
     for (i, e) in errors.iter().enumerate() {
         if i > 0 {
             s.push(',');
         }
-        let _ =
-            write!(
-            s,
-            "\n{{\"stage\":\"{}\",\"unit\":\"{}\",\"variant\":{},\"ccm\":{},\"detail\":\"{}\"}}",
-            e.stage.name(),
-            esc(&e.unit),
-            e.variant
-                .map(|v| format!("\"{}\"", esc(v)))
-                .unwrap_or_else(|| "null".to_string()),
-            e.ccm.map(|c| c.to_string()).unwrap_or_else(|| "null".to_string()),
-            esc(&e.detail)
-        );
+        let _ = write!(s, "\n{{\"stage\":\"{}\",\"unit\":", e.stage.name());
+        checker::json_string(&e.unit, &mut s);
+        s.push_str(",\"variant\":");
+        match e.variant {
+            Some(v) => checker::json_string(v, &mut s),
+            None => s.push_str("null"),
+        }
+        s.push_str(",\"ccm\":");
+        match e.ccm {
+            Some(c) => {
+                let _ = write!(s, "{c}");
+            }
+            None => s.push_str("null"),
+        }
+        s.push_str(",\"detail\":");
+        checker::json_string(&e.detail, &mut s);
+        s.push('}');
     }
     s.push_str("\n]\n");
     s
-}
-
-/// Renders a caught panic payload for a `PipelineError` detail line.
-pub fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
-    exec::render_payload(payload)
 }
 
 /// Fans `items` out over the parallel engine with full containment:
@@ -247,11 +235,11 @@ mod tests {
 
     #[test]
     fn json_escapes_and_renders_nulls() {
-        let e = PipelineError::new(Stage::Checker, "k\"1", "line1\nline2");
+        let e = PipelineError::new(Stage::Checker, "k\"1", "line1\nline2\rline3");
         let json = render_json(&[e]);
         assert!(json.contains("\"stage\":\"checker\""));
         assert!(json.contains("k\\\"1"));
-        assert!(json.contains("line1\\nline2"));
+        assert!(json.contains("line1\\nline2\\rline3"));
         assert!(json.contains("\"variant\":null"));
     }
 }

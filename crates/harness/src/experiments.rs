@@ -10,11 +10,12 @@
 
 use std::collections::HashMap;
 
+use ccm::Variant;
 use sim::{CacheConfig, MachineConfig};
 
 use crate::cache;
 use crate::error::{self, PipelineError, Stage};
-use crate::pipeline::{Measurement, Variant};
+use crate::pipeline::Measurement;
 
 /// Table 1 row: spill-memory compaction for one routine.
 #[derive(Clone, Debug)]

@@ -3,11 +3,11 @@
 //! choices DESIGN.md calls out — scalar optimization, LICM, coalescing,
 //! and the calling convention.
 
+use ccm::Variant;
 use regalloc::AllocConfig;
 use sim::MachineConfig;
 
 use crate::error::{self, PipelineError, Stage};
-use crate::pipeline::Variant;
 
 /// One point on the CCM sizing curve.
 #[derive(Clone, Copy, Debug)]
@@ -116,7 +116,7 @@ const ABLATION_KERNELS: [&str; 5] = ["fpppp", "radf5", "deseco", "urand", "erhs"
 fn run_config(
     opts: &opt::OptOptions,
     alloc: &AllocConfig,
-    promote: bool,
+    variant: Variant,
 ) -> Result<DesignRow, PipelineError> {
     let machine = MachineConfig::with_ccm(512);
     let mut spilled = 0;
@@ -131,15 +131,8 @@ fn run_config(
             ..*opts
         };
         opt::optimize_module(&mut m, &o);
-        spilled += regalloc::allocate_module(&mut m, alloc).total_spilled();
-        if promote {
-            ccm::postpass_promote(
-                &mut m,
-                &ccm::PostpassConfig {
-                    ccm_size: 512,
-                    interprocedural: true,
-                },
-            );
+        spilled += ccm::allocate(&mut m, variant, 512, alloc).spilled_ranges;
+        if variant != Variant::Baseline {
             // Paper, footnote 3: repack the remaining heavyweight slots
             // so the reported spill space is honest.
             ccm::compact_module(&mut m);
@@ -184,9 +177,12 @@ pub fn design_ablation() -> Vec<DesignRow> {
     };
     push(
         "baseline (opt, coalesce, no CCM)",
-        run_config(&base_opts, &base_alloc, false),
+        run_config(&base_opts, &base_alloc, Variant::Baseline),
     );
-    push("+ CCM post-pass", run_config(&base_opts, &base_alloc, true));
+    push(
+        "+ CCM post-pass",
+        run_config(&base_opts, &base_alloc, Variant::PostPassCallGraph),
+    );
     push(
         "no scalar optimization",
         run_config(
@@ -195,7 +191,7 @@ pub fn design_ablation() -> Vec<DesignRow> {
                 ..base_opts
             },
             &base_alloc,
-            false,
+            Variant::Baseline,
         ),
     );
     push(
@@ -206,7 +202,7 @@ pub fn design_ablation() -> Vec<DesignRow> {
                 ..base_opts
             },
             &base_alloc,
-            false,
+            Variant::Baseline,
         ),
     );
     push(
@@ -217,7 +213,7 @@ pub fn design_ablation() -> Vec<DesignRow> {
                 rematerialize: true,
                 ..base_alloc
             },
-            false,
+            Variant::Baseline,
         ),
     );
     push(
@@ -228,7 +224,7 @@ pub fn design_ablation() -> Vec<DesignRow> {
                 rematerialize: true,
                 ..base_alloc
             },
-            true,
+            Variant::PostPassCallGraph,
         ),
     );
     push(
@@ -239,7 +235,7 @@ pub fn design_ablation() -> Vec<DesignRow> {
                 coalesce: false,
                 ..base_alloc
             },
-            false,
+            Variant::Baseline,
         ),
     );
     push(
@@ -250,7 +246,7 @@ pub fn design_ablation() -> Vec<DesignRow> {
                 caller_saved: 8,
                 ..base_alloc
             },
-            false,
+            Variant::Baseline,
         ),
     );
     push(
@@ -261,7 +257,7 @@ pub fn design_ablation() -> Vec<DesignRow> {
                 caller_saved: 16,
                 ..base_alloc
             },
-            false,
+            Variant::Baseline,
         ),
     );
     rows
@@ -385,6 +381,7 @@ pub struct SchedRow {
 /// spill reloads at all ("let the scheduler place the load for a spilled
 /// value next to its use", §1).
 pub fn scheduling_study() -> Vec<SchedRow> {
+    use Variant::{Baseline, PostPassCallGraph};
     let machine = MachineConfig {
         load_delay: Some(2),
         ..MachineConfig::with_ccm(512)
@@ -397,7 +394,7 @@ pub fn scheduling_study() -> Vec<SchedRow> {
     let kernels = ["radf4", "radb4", "colbur", "cosqf1", "zeroin"];
     let mut rows = Vec::new();
 
-    let mut run = |label: &str, pre_sched: bool, post_sched: bool, promote: bool| {
+    let mut run = |label: &str, pre_sched: bool, post_sched: bool, variant: Variant| {
         let cells = error::par_contained(
             exec::default_jobs(),
             &kernels,
@@ -411,16 +408,7 @@ pub fn scheduling_study() -> Vec<SchedRow> {
                     sched::schedule_module(&mut m, 3);
                 }
                 let spilled =
-                    regalloc::allocate_module(&mut m, &AllocConfig::default()).total_spilled();
-                if promote {
-                    ccm::postpass_promote(
-                        &mut m,
-                        &ccm::PostpassConfig {
-                            ccm_size: 512,
-                            interprocedural: true,
-                        },
-                    );
-                }
+                    ccm::allocate(&mut m, variant, 512, &AllocConfig::default()).spilled_ranges;
                 if post_sched {
                     sched::schedule_module(&mut m, 3);
                 }
@@ -447,11 +435,11 @@ pub fn scheduling_study() -> Vec<SchedRow> {
         rows.push(row);
     };
 
-    run("unscheduled, no CCM", false, false, false);
-    run("post-RA scheduled, no CCM", false, true, false);
-    run("pre-RA scheduled, no CCM", true, false, false);
-    run("unscheduled + CCM", false, false, true);
-    run("post-RA scheduled + CCM", false, true, true);
+    run("unscheduled, no CCM", false, false, Baseline);
+    run("post-RA scheduled, no CCM", false, true, Baseline);
+    run("pre-RA scheduled, no CCM", true, false, Baseline);
+    run("unscheduled + CCM", false, false, PostPassCallGraph);
+    run("post-RA scheduled + CCM", false, true, PostPassCallGraph);
     rows
 }
 

@@ -36,6 +36,7 @@ pub use extensions::{
     render_sched, render_sweep, scheduling_study, DesignRow, MultitaskRow, SchedRow, SweepPoint,
 };
 
+pub use ccm::Variant;
 pub use csv::export_all;
 pub use error::{PipelineError, Stage};
 pub use experiments::{
@@ -43,6 +44,4 @@ pub use experiments::{
     speedup_rows, speedup_rows_jobs, speedup_rows_multi, table1, table1_jobs, table3, table3_jobs,
     table4_from, AblationRow, CheckRow, CompactionRow, ProgramRow, SpeedupRow, Table4Cell,
 };
-pub use pipeline::{
-    allocate_variant, check_allocated, measure, AllocOutcome, Measurement, Variant,
-};
+pub use pipeline::{check_allocated, measure, Measurement};

@@ -8,56 +8,14 @@
 //! [`Measurement`] — the paper's §3.1 fallback, applied per function.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 
+use ccm::Variant;
 use iloc::Module;
 use regalloc::AllocConfig;
 use sim::{MachineConfig, Metrics};
 
 use crate::error::{PipelineError, Stage};
-
-/// The allocation strategy under test — the three CCM methods of the
-/// paper plus the no-CCM baseline.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub enum Variant {
-    /// Conventional Chaitin-Briggs; all spills to main memory.
-    Baseline,
-    /// Post-pass CCM allocator, no interprocedural information.
-    PostPass,
-    /// Post-pass CCM allocator with call-graph information.
-    PostPassCallGraph,
-    /// CCM spilling integrated into the Chaitin-Briggs allocator.
-    Integrated,
-}
-
-impl Variant {
-    /// All variants, baseline first.
-    pub const ALL: [Variant; 4] = [
-        Variant::Baseline,
-        Variant::PostPass,
-        Variant::PostPassCallGraph,
-        Variant::Integrated,
-    ];
-
-    /// Column label used in the printed tables.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Variant::Baseline => "Without CCM",
-            Variant::PostPass => "Post-Pass",
-            Variant::PostPassCallGraph => "Post-Pass w/ Call Graph",
-            Variant::Integrated => "Integrated",
-        }
-    }
-
-    /// Short name used in error reports and JSON.
-    pub fn short(&self) -> &'static str {
-        match self {
-            Variant::Baseline => "baseline",
-            Variant::PostPass => "postpass",
-            Variant::PostPassCallGraph => "postpass+cg",
-            Variant::Integrated => "integrated",
-        }
-    }
-}
 
 /// One measured configuration of one module.
 #[derive(Clone, Debug)]
@@ -79,59 +37,17 @@ pub struct Measurement {
     pub degraded: Vec<ccm::Degradation>,
 }
 
-/// The outcome of [`allocate_variant`]: spill statistics plus any
-/// per-function degradation events.
-#[derive(Clone, Debug, Default)]
-pub struct AllocOutcome {
+/// One allocated-and-checked configuration of one module.
+#[derive(Clone)]
+pub struct Allocated {
+    /// The module after [`ccm::allocate`].
+    pub module: Arc<Module>,
+    /// Every diagnostic from [`check_allocated`].
+    pub diags: Arc<Vec<checker::Diagnostic>>,
     /// Live ranges spilled during allocation.
     pub spilled_ranges: usize,
-    /// Functions that abandoned CCM allocation and kept conventional
-    /// heavyweight spills.
-    pub degraded: Vec<ccm::Degradation>,
-}
-
-/// Applies `variant` allocation (with CCM capacity `ccm_size`) to an
-/// optimized module. The input should come from
-/// [`suite::build_optimized`] or [`suite::build_program`].
-pub fn allocate_variant(m: &mut Module, variant: Variant, ccm_size: u32) -> AllocOutcome {
-    let cfg = AllocConfig::default();
-    let postpass = |m: &mut Module, interprocedural: bool| -> AllocOutcome {
-        let n = regalloc::allocate_module(m, &cfg).total_spilled();
-        let promos = ccm::postpass_promote(
-            m,
-            &ccm::PostpassConfig {
-                ccm_size,
-                interprocedural,
-            },
-        );
-        AllocOutcome {
-            spilled_ranges: n,
-            degraded: promos
-                .into_iter()
-                .filter_map(|p| {
-                    p.degraded.map(|reason| ccm::Degradation {
-                        function: p.name,
-                        reason,
-                    })
-                })
-                .collect(),
-        }
-    };
-    match variant {
-        Variant::Baseline => AllocOutcome {
-            spilled_ranges: regalloc::allocate_module(m, &cfg).total_spilled(),
-            degraded: Vec::new(),
-        },
-        Variant::PostPass => postpass(m, false),
-        Variant::PostPassCallGraph => postpass(m, true),
-        Variant::Integrated => {
-            let (a, _, degraded) = ccm::allocate_module_integrated(m, &cfg, ccm_size);
-            AllocOutcome {
-                spilled_ranges: a.total_spilled(),
-                degraded,
-            }
-        }
-    }
+    /// Per-function CCM→heavyweight degradation events.
+    pub degraded: Arc<Vec<ccm::Degradation>>,
 }
 
 /// Runs the post-allocation static checker on an allocated module,
@@ -141,63 +57,77 @@ pub fn check_allocated(m: &Module, ccm_size: u32) -> Vec<checker::Diagnostic> {
     checker::check_module(m, &checker::CheckerConfig::new(ccm_size))
 }
 
-/// [`allocate_variant`] with allocator panics contained: a panic inside
-/// register allocation or CCM promotion becomes a `stage=alloc`
-/// [`PipelineError`] instead of unwinding through the campaign.
+/// Applies `variant` allocation (with CCM capacity `ccm_size`) to an
+/// optimized module and runs the post-allocation checker. The input
+/// should come from [`suite::build_optimized`] or
+/// [`suite::build_program`].
+///
+/// Checker diagnostics are data here, not failure: `--check` reports
+/// error rows rather than skipping them. [`measure_allocated`] applies
+/// the error gate before simulating.
 ///
 /// # Errors
 ///
-/// Returns the structured allocation failure.
-pub fn allocate_contained(
-    m: &mut Module,
+/// A panic inside register allocation or CCM promotion becomes a
+/// `stage=alloc` [`PipelineError`] instead of unwinding through the
+/// campaign.
+pub fn allocate_checked(
     unit: &str,
+    m: Module,
     variant: Variant,
     ccm_size: u32,
-) -> Result<AllocOutcome, PipelineError> {
-    let mut scratch = std::mem::take(m);
-    match catch_unwind(AssertUnwindSafe(move || {
-        let out = allocate_variant(&mut scratch, variant, ccm_size);
-        (scratch, out)
-    })) {
-        Ok((allocated, out)) => {
-            *m = allocated;
-            Ok(out)
-        }
-        Err(payload) => {
-            Err(
-                PipelineError::new(Stage::Alloc, unit, exec::render_payload(payload.as_ref()))
-                    .at(variant, ccm_size),
-            )
-        }
-    }
+) -> Result<Allocated, PipelineError> {
+    let (m, outcome) = catch_unwind(AssertUnwindSafe(move || {
+        let mut m = m;
+        let out = ccm::allocate(&mut m, variant, ccm_size, &AllocConfig::default());
+        (m, out)
+    }))
+    .map_err(|payload| {
+        PipelineError::new(Stage::Alloc, unit, exec::render_payload(payload.as_ref()))
+            .at(variant, ccm_size)
+    })?;
+    let diags = check_allocated(&m, ccm_size);
+    Ok(Allocated {
+        module: Arc::new(m),
+        diags: Arc::new(diags),
+        spilled_ranges: outcome.spilled_ranges,
+        degraded: Arc::new(outcome.degraded),
+    })
 }
 
-/// Converts checker diagnostics into a `stage=checker` error when any
-/// has error severity.
+/// Measures an allocated configuration: rejects it if the checker found
+/// errors, then simulates it on `machine`.
 ///
 /// # Errors
 ///
-/// Returns the structured checker rejection.
-pub fn checker_gate(
-    diags: &[checker::Diagnostic],
+/// A checker rejection becomes `stage=checker` and a simulator trap
+/// `stage=sim`.
+pub fn measure_allocated(
     unit: &str,
+    a: &Allocated,
     variant: Variant,
-    ccm_size: u32,
-) -> Result<(), PipelineError> {
-    if !checker::has_errors(diags) {
-        return Ok(());
+    machine: &MachineConfig,
+) -> Result<Measurement, PipelineError> {
+    if let Some(summary) = checker::error_summary(&a.diags) {
+        return Err(PipelineError::new(Stage::Checker, unit, summary).at(variant, machine.ccm_size));
     }
-    let errors = checker::errors(diags);
-    Err(PipelineError::new(
-        Stage::Checker,
-        unit,
-        format!(
-            "{} checker error(s); first: {}",
-            errors.len(),
-            errors.first().map(|d| d.to_string()).unwrap_or_default()
-        ),
-    )
-    .at(variant, ccm_size))
+    let (vals, metrics) = sim::run_module(&a.module, machine.clone(), "main").map_err(|e| {
+        PipelineError::new(Stage::Sim, unit, e.to_string()).at(variant, machine.ccm_size)
+    })?;
+    Ok(Measurement {
+        cycles: metrics.cycles,
+        mem_cycles: metrics.mem_op_cycles,
+        metrics,
+        checksum: vals.floats.first().copied().unwrap_or(f64::NAN),
+        spill_bytes: a
+            .module
+            .functions
+            .iter()
+            .map(|f| f.frame.spill_bytes())
+            .sum(),
+        spilled_ranges: a.spilled_ranges,
+        degraded: (*a.degraded).clone(),
+    })
 }
 
 /// Allocates (per `variant`) and simulates an optimized module, returning
@@ -226,26 +156,12 @@ pub fn measure(
 /// Same as [`measure`].
 pub fn measure_named(
     unit: &str,
-    mut m: Module,
+    m: Module,
     variant: Variant,
     machine: &MachineConfig,
 ) -> Result<Measurement, PipelineError> {
-    let alloc = allocate_contained(&mut m, unit, variant, machine.ccm_size)?;
-    let diags = check_allocated(&m, machine.ccm_size);
-    checker_gate(&diags, unit, variant, machine.ccm_size)?;
-    let (vals, metrics) = sim::run_module(&m, machine.clone(), "main").map_err(|e| {
-        PipelineError::new(Stage::Sim, unit, e.to_string()).at(variant, machine.ccm_size)
-    })?;
-    let spill_bytes = m.functions.iter().map(|f| f.frame.spill_bytes()).sum();
-    Ok(Measurement {
-        cycles: metrics.cycles,
-        mem_cycles: metrics.mem_op_cycles,
-        metrics,
-        checksum: vals.floats.first().copied().unwrap_or(f64::NAN),
-        spill_bytes,
-        spilled_ranges: alloc.spilled_ranges,
-        degraded: alloc.degraded,
-    })
+    let a = allocate_checked(unit, m, variant, machine.ccm_size)?;
+    measure_allocated(unit, &a, variant, machine)
 }
 
 #[cfg(test)]

@@ -58,3 +58,13 @@ fn table3_matches_golden() {
 fn figure3_matches_golden() {
     check_golden(&["--figure3"], "figure3.txt");
 }
+
+#[test]
+fn design_matches_golden() {
+    check_golden(&["--design"], "design.txt");
+}
+
+#[test]
+fn sched_matches_golden() {
+    check_golden(&["--sched"], "sched.txt");
+}

@@ -42,7 +42,7 @@ fn corpus_reproducers_pass_the_oracle() {
                     path.display(),
                     alloc.gpr_k,
                     f.kind.label(),
-                    f.variant.label(),
+                    f.variant.short(),
                     f.ccm,
                     f.detail
                 );
