@@ -9,6 +9,11 @@ cargo fmt --check
 echo "== cargo clippy (workspace, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (workspace, rustdoc warnings are errors)"
+# Broken intra-doc links fail the build, so a renamed or deleted item
+# cannot leave a dangling [`link`] behind in the docs.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== tier-1: cargo build --release"
 cargo build --release
 

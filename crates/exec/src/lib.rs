@@ -20,12 +20,14 @@
 //!    behavior: it re-raises the first failure with its label.)
 //! 3. **No oversubscription surprises**: `jobs` is clamped to the item
 //!    count, and `jobs <= 1` runs inline with no threads at all.
+//!
+//! The worker count is always an argument; there is no process-wide
+//! default. Binaries take it from `--jobs N` or [`available`] and pass
+//! it down, and [`Stage`] and [`timed`] report the count they are given.
 
 mod queue;
 
 pub use queue::{render_payload, ItemPanic};
-
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// The number of hardware threads, with a fallback of 1 when the OS
 /// cannot say.
@@ -33,38 +35,6 @@ pub fn available() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Process-wide default worker count: 0 means "unset, use
-/// [`available`]". Set once at binary startup from `--jobs`.
-static DEFAULT_JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the process-wide default worker count used by
-/// [`default_jobs`]. Binaries call this once from `--jobs N`.
-pub fn set_default_jobs(jobs: usize) {
-    DEFAULT_JOBS.store(jobs, Ordering::Relaxed);
-}
-
-/// The default worker count: the last [`set_default_jobs`] value, or
-/// [`available`] if none was set (or 0 was set).
-pub fn default_jobs() -> usize {
-    match DEFAULT_JOBS.load(Ordering::Relaxed) {
-        0 => available(),
-        n => n,
-    }
-}
-
-/// Parses a `--jobs` argument: a positive integer.
-///
-/// # Errors
-///
-/// Returns a human-readable message for zero or non-numeric input.
-pub fn parse_jobs(s: &str) -> Result<usize, String> {
-    match s.parse::<usize>() {
-        Ok(0) => Err("--jobs must be at least 1".to_string()),
-        Ok(n) => Ok(n),
-        Err(_) => Err(format!("--jobs needs a positive integer, got `{s}`")),
-    }
 }
 
 /// One contained work-item failure: the item's index, its human-readable
@@ -144,14 +114,16 @@ where
 /// A stopwatch for the binaries' per-stage timing lines.
 pub struct Stage {
     name: String,
+    jobs: usize,
     start: std::time::Instant,
 }
 
 impl Stage {
-    /// Starts timing a named stage.
-    pub fn start(name: impl Into<String>) -> Self {
+    /// Starts timing a named stage that runs on `jobs` workers.
+    pub fn start(name: impl Into<String>, jobs: usize) -> Self {
         Stage {
             name: name.into(),
+            jobs,
             start: std::time::Instant::now(),
         }
     }
@@ -163,14 +135,15 @@ impl Stage {
             "{}: {:.2}s (jobs={})",
             self.name,
             self.start.elapsed().as_secs_f64(),
-            default_jobs()
+            self.jobs
         )
     }
 }
 
-/// Times `f`, printing `prog: stage: 1.23s (jobs=N)` to stderr.
-pub fn timed<T>(prog: &str, stage: &str, f: impl FnOnce() -> T) -> T {
-    let s = Stage::start(stage);
+/// Times `f`, a stage run on `jobs` workers, printing
+/// `prog: stage: 1.23s (jobs=N)` to stderr.
+pub fn timed<T>(prog: &str, stage: &str, jobs: usize, f: impl FnOnce() -> T) -> T {
+    let s = Stage::start(stage, jobs);
     let out = f();
     eprintln!("{prog}: {}", s.line());
     out
@@ -237,21 +210,5 @@ mod tests {
                 assert_eq!(*r.as_ref().unwrap(), (i as u64) * 2);
             }
         }
-    }
-
-    #[test]
-    fn parse_jobs_accepts_positive_rejects_rest() {
-        assert_eq!(parse_jobs("4"), Ok(4));
-        assert!(parse_jobs("0").is_err());
-        assert!(parse_jobs("lots").is_err());
-    }
-
-    #[test]
-    fn default_jobs_round_trips() {
-        assert!(default_jobs() >= 1);
-        set_default_jobs(3);
-        assert_eq!(default_jobs(), 3);
-        set_default_jobs(0);
-        assert!(default_jobs() >= 1);
     }
 }

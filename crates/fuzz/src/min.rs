@@ -1,10 +1,10 @@
 //! Automatic test-case minimization.
 //!
 //! [`minimize`] takes a module the oracle rejects and greedily shrinks
-//! it while the *same bug* (same [`FailureKind`] and variant, per
-//! [`Failure::same_bug`]) still reproduces. Reduction passes run
-//! coarse-to-fine, each to a fixpoint, and the whole ladder repeats
-//! until no pass makes progress:
+//! it while the *same bug* (same [`FailureKind`](crate::FailureKind)
+//! and variant, per [`Failure::same_bug`]) still reproduces. Reduction
+//! passes run coarse-to-fine, each to a fixpoint, and the whole ladder
+//! repeats until no pass makes progress:
 //!
 //! 1. **Drop functions** — replace every call to a helper with constant
 //!    zero definitions of its return registers, then delete it;

@@ -6,18 +6,20 @@
 //! paper's metrics.
 //!
 //! ```text
-//! ccmc input.iloc [--variant base|postpass|postpass-cg|integrated]
-//!                 [--ccm SIZE] [--unroll N] [--licm] [--run [ENTRY]]
-//!                 [--emit] [--stats] [--check[=json]] [--jobs N]
+//! ccmc INPUT.iloc [--variant base|postpass|postpass-cg|integrated]
+//!                 [--ccm SIZE] [--unroll N] [--licm] [--run] [--entry NAME]
+//!                 [--emit] [--stats] [--check[=json]]
 //! ```
 //!
-//! `--jobs N` sets the parallel engine's worker count for any harness
-//! machinery ccmc invokes; `--stats` additionally prints per-stage
-//! wall-clock timing lines (parse/opt/alloc/check/run) to stderr.
+//! `--unroll N` takes a factor of at least 2. `--stats` additionally
+//! prints per-stage wall-clock timing lines (parse/opt/alloc/check/run)
+//! to stderr; ccmc runs every stage on one thread, so each line ends in
+//! `(jobs=1)`.
 
 use std::process::exit;
 
 use ccm::Variant;
+use harness::cli::{self, Args};
 use regalloc::AllocConfig;
 use sim::MachineConfig;
 
@@ -39,8 +41,12 @@ enum CheckFormat {
     Json,
 }
 
+const USAGE: &str = "usage: ccmc INPUT.iloc [--variant base|postpass|postpass-cg|integrated]\n\
+     \x20            [--ccm SIZE] [--unroll N] [--licm] [--run] [--entry NAME]\n\
+     \x20            [--emit] [--stats] [--check[=json]]";
+
 fn parse_args() -> Options {
-    let mut args = std::env::args().skip(1);
+    let mut args = Args::from_env("ccmc", USAGE);
     let mut o = Options {
         input: String::new(),
         variant: Variant::PostPassCallGraph,
@@ -52,59 +58,34 @@ fn parse_args() -> Options {
         stats: false,
         check: None,
     };
-    while let Some(a) = args.next() {
+    while let Some(a) = args.next_arg() {
         match a.as_str() {
             "--variant" => {
-                o.variant = match args.next().as_deref() {
-                    Some("base") => Variant::Baseline,
-                    Some("postpass") => Variant::PostPass,
-                    Some("postpass-cg") => Variant::PostPassCallGraph,
-                    Some("integrated") => Variant::Integrated,
-                    other => die(&format!("unknown variant {other:?}")),
+                o.variant = match args.operand("--variant").as_str() {
+                    "base" => Variant::Baseline,
+                    "postpass" => Variant::PostPass,
+                    "postpass-cg" => Variant::PostPassCallGraph,
+                    "integrated" => Variant::Integrated,
+                    other => args.usage_error(format!("unknown variant `{other}`")),
                 }
             }
-            "--ccm" => o.ccm_size = req(args.next(), "--ccm needs a size"),
-            "--unroll" => o.unroll = Some(req(args.next(), "--unroll needs a factor")),
+            "--ccm" => o.ccm_size = args.value("--ccm"),
+            "--unroll" => o.unroll = Some(args.at_least("--unroll", 2)),
             "--licm" => o.licm = true,
             "--run" => o.run = Some("main".to_string()),
-            "--entry" => o.run = Some(req_s(args.next(), "--entry needs a name")),
+            "--entry" => o.run = Some(args.operand("--entry")),
             "--emit" => o.emit = true,
             "--stats" => o.stats = true,
             "--check" => o.check = Some(CheckFormat::Text),
             "--check=json" => o.check = Some(CheckFormat::Json),
-            "--jobs" => match exec::parse_jobs(&req_s(args.next(), "--jobs needs a count")) {
-                Ok(n) => exec::set_default_jobs(n),
-                Err(e) => die(&e),
-            },
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: ccmc INPUT.iloc [--variant base|postpass|postpass-cg|integrated]\n\
-                     \x20            [--ccm SIZE] [--unroll N] [--licm] [--run] [--entry NAME]\n\
-                     \x20            [--emit] [--stats] [--check[=json]] [--jobs N]"
-                );
-                exit(0);
-            }
             other if !other.starts_with('-') && o.input.is_empty() => o.input = other.to_string(),
-            other => die(&format!("unknown argument `{other}`")),
+            other => args.unknown(other),
         }
     }
     if o.input.is_empty() {
-        die("missing input file (try --help)");
+        args.usage_error("missing input file");
     }
     o
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("ccmc: {msg}");
-    exit(2)
-}
-
-fn req<T: std::str::FromStr>(v: Option<String>, msg: &str) -> T {
-    v.and_then(|s| s.parse().ok()).unwrap_or_else(|| die(msg))
-}
-
-fn req_s(v: Option<String>, msg: &str) -> String {
-    v.unwrap_or_else(|| die(msg))
 }
 
 fn main() {
@@ -112,7 +93,7 @@ fn main() {
     // Per-stage wall-clock, printed (with --stats) after the run.
     let mut stage_lines: Vec<String> = Vec::new();
     let mut staged = |name: &str, f: &mut dyn FnMut()| {
-        let s = exec::Stage::start(name);
+        let s = exec::Stage::start(name, 1);
         f();
         stage_lines.push(s.line());
     };
@@ -120,9 +101,9 @@ fn main() {
     let mut m = iloc::Module::new();
     staged("parse", &mut || {
         let text = std::fs::read_to_string(&o.input)
-            .unwrap_or_else(|e| die(&format!("cannot read {}: {e}", o.input)));
-        m = iloc::parse_module(&text).unwrap_or_else(|e| die(&e.to_string()));
-        m.verify().unwrap_or_else(|e| die(&e.to_string()));
+            .unwrap_or_else(|e| cli::fail("ccmc", format!("cannot read {}: {e}", o.input)));
+        m = iloc::parse_module(&text).unwrap_or_else(|e| cli::fail("ccmc", e));
+        m.verify().unwrap_or_else(|e| cli::fail("ccmc", e));
     });
 
     let mut opt_stats = opt::OptStats::default();
@@ -143,14 +124,14 @@ fn main() {
         spilled = outcome.spilled_ranges;
         degraded = outcome.degraded;
         m.verify()
-            .unwrap_or_else(|e| die(&format!("post-allocation verify: {e}")));
+            .unwrap_or_else(|e| cli::fail("ccmc", format!("post-allocation verify: {e}")));
     });
     for d in &degraded {
         eprintln!("ccmc: warning: {d}");
     }
 
     if let Some(format) = o.check {
-        let s = exec::Stage::start("check");
+        let s = exec::Stage::start("check", 1);
         let diags = harness::check_allocated(&m, o.ccm_size);
         stage_lines.push(s.line());
         match format {
@@ -196,7 +177,7 @@ fn main() {
     }
 
     if let Some(entry) = o.run {
-        let s = exec::Stage::start("run");
+        let s = exec::Stage::start("run", 1);
         let cfg = MachineConfig::with_ccm(o.ccm_size);
         match sim::run_module(&m, cfg, &entry) {
             Ok((vals, metrics)) => {
@@ -212,7 +193,7 @@ fn main() {
                     println!("{v}");
                 }
             }
-            Err(e) => die(&format!("execution trapped: {e}")),
+            Err(e) => cli::fail("ccmc", format!("execution trapped: {e}")),
         }
     }
 

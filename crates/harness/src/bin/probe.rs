@@ -8,40 +8,27 @@
 //! Kernels are probed in parallel (`--jobs N`, default: available
 //! parallelism); the report is assembled in suite order regardless of
 //! which worker finished first, and a timing line goes to stderr.
+//! `--help` prints the usage on stdout.
+
+use harness::cli::Args;
+
+const USAGE: &str = "usage: probe [--jobs N]";
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--help" | "-h" => {
-                eprintln!("usage: probe [--jobs N]");
-                std::process::exit(0);
-            }
-            "--jobs" => {
-                i += 1;
-                match args.get(i) {
-                    Some(v) => set_jobs(v),
-                    None => {
-                        eprintln!("probe: --jobs needs a count");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            a if a.starts_with("--jobs=") => set_jobs(a.trim_start_matches("--jobs=")),
-            a => {
-                eprintln!("probe: unknown argument `{a}` (usage: probe [--jobs N])");
-                std::process::exit(2);
-            }
+    let mut args = Args::from_env("probe", USAGE);
+    let mut jobs = exec::available();
+    while let Some(a) = args.next_arg() {
+        match a.as_str() {
+            "--jobs" => jobs = args.jobs(),
+            other => args.unknown(other),
         }
-        i += 1;
     }
 
     const CCM: u32 = 512;
     let kernels = suite::kernels();
-    let stage = exec::Stage::start("probe");
+    let stage = exec::Stage::start("probe", jobs);
     let reports = exec::par_map_contained(
-        exec::default_jobs(),
+        jobs,
         &kernels,
         |k| format!("probe {}", k.name),
         |k| {
@@ -106,15 +93,5 @@ fn main() {
     eprintln!("probe: {}", stage.line());
     if failures > 0 {
         std::process::exit(1);
-    }
-}
-
-fn set_jobs(v: &str) {
-    match exec::parse_jobs(v) {
-        Ok(n) => exec::set_default_jobs(n),
-        Err(e) => {
-            eprintln!("probe: {e}");
-            std::process::exit(2);
-        }
     }
 }

@@ -3,10 +3,9 @@
 //! Every sweep-shaped experiment fans out over the parallel engine
 //! ([`exec::par_map`]) with one work item per independent (unit, variant
 //! set, CCM size) measurement, and collects results **by item index** so
-//! the output is byte-identical whatever `--jobs` value ran it. The
-//! `*_jobs` variants take an explicit worker count (used by the
-//! determinism tests); the plain names use [`exec::default_jobs`], which
-//! the binaries set from `--jobs`.
+//! the output is byte-identical whatever `--jobs` value ran it. Each
+//! entry point takes its worker count as a `jobs` argument; the `repro`
+//! binary passes the value of `--jobs`.
 
 use std::collections::HashMap;
 
@@ -42,11 +41,6 @@ impl CompactionRow {
 /// Runs the Table 1 experiment: Chaitin-Briggs allocation followed by
 /// coloring-based spill-memory compaction, reporting bytes before/after
 /// per spilling routine, sorted by descending `before`.
-pub fn table1() -> Vec<CompactionRow> {
-    table1_jobs(exec::default_jobs())
-}
-
-/// [`table1`] with an explicit worker count.
 pub fn table1_jobs(jobs: usize) -> Vec<CompactionRow> {
     let kernels = suite::kernels();
     let mut rows: Vec<CompactionRow> = error::par_contained(
@@ -181,18 +175,13 @@ fn measure_kernel(k: &suite::Kernel, ccm_size: u32) -> Result<Option<SpeedupRow>
 /// Runs the Table 2 experiment at the given CCM size over every kernel
 /// that spills: absolute baseline cycles plus relative cycle counts for
 /// the three CCM allocation methods.
-pub fn speedup_rows(ccm_size: u32) -> Vec<SpeedupRow> {
-    speedup_rows_jobs(ccm_size, exec::default_jobs())
-}
-
-/// [`speedup_rows`] with an explicit worker count.
 pub fn speedup_rows_jobs(ccm_size: u32, jobs: usize) -> Vec<SpeedupRow> {
     speedup_rows_multi(&[ccm_size], jobs)
         .pop()
         .expect("one size requested")
 }
 
-/// Runs [`speedup_rows`] for several CCM sizes as one flat work-item pool
+/// Runs [`speedup_rows_jobs`] for several CCM sizes as one flat work-item pool
 /// (kernel × size), returning one row vector per requested size with
 /// kernels in suite order. This is how `table3` and the CSV export get
 /// both sizes measured concurrently instead of as two serial sweeps.
@@ -258,11 +247,6 @@ pub fn improved_names(r512: &[SpeedupRow], r1024: &[SpeedupRow]) -> Result<Vec<S
 /// Table 3: kernels whose best CCM-variant cycle count improves when the
 /// CCM grows from 512 to 1024 bytes. Returns `(rows512, rows1024,
 /// improved_names)`.
-pub fn table3() -> (Vec<SpeedupRow>, Vec<SpeedupRow>, Vec<String>) {
-    table3_jobs(exec::default_jobs())
-}
-
-/// [`table3`] with an explicit worker count.
 pub fn table3_jobs(jobs: usize) -> (Vec<SpeedupRow>, Vec<SpeedupRow>, Vec<String>) {
     let mut sized = speedup_rows_multi(&[512, 1024], jobs);
     let r1024 = sized.pop().expect("two sizes");
@@ -334,11 +318,6 @@ impl ProgramRow {
 
 /// Runs the Figure 3 (512 B) or Figure 4 (1024 B) experiment over the 13
 /// programs.
-pub fn figure(ccm_size: u32) -> Vec<ProgramRow> {
-    figure_jobs(ccm_size, exec::default_jobs())
-}
-
-/// [`figure`] with an explicit worker count.
 pub fn figure_jobs(ccm_size: u32, jobs: usize) -> Vec<ProgramRow> {
     let machine = MachineConfig::with_ccm(ccm_size);
     let programs = suite::programs();
@@ -407,11 +386,6 @@ pub struct AblationRow {
 /// spill-heavy kernels: a plain cache, a bigger cache, a cache with a
 /// write buffer, and a cache with a victim cache — in each case comparing
 /// spilling through the hierarchy against spilling to the CCM.
-pub fn ablation() -> Vec<AblationRow> {
-    ablation_jobs(exec::default_jobs())
-}
-
-/// [`ablation`] with an explicit worker count.
 pub fn ablation_jobs(jobs: usize) -> Vec<AblationRow> {
     let kernels = ["fpppp", "twldrv", "jacld", "radf5", "deseco"];
     let mut configs: Vec<(String, CacheConfig)> = Vec::new();
@@ -537,11 +511,6 @@ impl CheckRow {
 
 /// Runs the post-allocation checker over the whole suite (every kernel
 /// and every program) under each variant at each CCM size.
-pub fn check_suite(sizes: &[u32]) -> Vec<CheckRow> {
-    check_suite_jobs(sizes, exec::default_jobs())
-}
-
-/// [`check_suite`] with an explicit worker count.
 pub fn check_suite_jobs(sizes: &[u32], jobs: usize) -> Vec<CheckRow> {
     // Warm the build cache in parallel, one item per unit…
     let kernels = suite::kernels();
@@ -612,7 +581,7 @@ mod tests {
 
     #[test]
     fn table1_reports_spilling_routines_with_valid_ratios() {
-        let rows = table1();
+        let rows = table1_jobs(exec::available());
         assert!(rows.len() >= 10, "need a healthy population of spillers");
         for r in &rows {
             assert!(r.after <= r.before, "{}: compaction grew memory", r.name);
@@ -630,7 +599,7 @@ mod tests {
 
     #[test]
     fn speedups_have_paper_shape_at_512() {
-        let rows = speedup_rows(512);
+        let rows = speedup_rows_jobs(512, exec::available());
         assert!(rows.len() >= 10);
         // No CCM variant may ever be slower than baseline.
         for r in &rows {

@@ -25,11 +25,6 @@ pub struct SweepPoint {
 
 /// Sweeps the CCM size over the spilling kernels, answering the paper's
 /// sizing question: most of the benefit arrives by a few hundred bytes.
-pub fn ccm_sweep(sizes: &[u32]) -> Vec<SweepPoint> {
-    ccm_sweep_jobs(sizes, exec::default_jobs())
-}
-
-/// [`ccm_sweep`] with an explicit worker count.
 pub fn ccm_sweep_jobs(sizes: &[u32], jobs: usize) -> Vec<SweepPoint> {
     // Measure the baseline once, in parallel over the (cached) builds.
     let kernels = suite::kernels();
@@ -315,7 +310,7 @@ mod tests {
 
     #[test]
     fn sweep_is_monotone_and_saturates() {
-        let pts = ccm_sweep(&[32, 128, 512, 2048]);
+        let pts = ccm_sweep_jobs(&[32, 128, 512, 2048], exec::available());
         for w in pts.windows(2) {
             assert!(
                 w[1].total_pct >= w[0].total_pct - 1e-9,
@@ -380,7 +375,7 @@ pub struct SchedRow {
 /// raising spill counts, and (c) CCM spilling removing the need to hide
 /// spill reloads at all ("let the scheduler place the load for a spilled
 /// value next to its use", §1).
-pub fn scheduling_study() -> Vec<SchedRow> {
+pub fn scheduling_study(jobs: usize) -> Vec<SchedRow> {
     use Variant::{Baseline, PostPassCallGraph};
     let machine = MachineConfig {
         load_delay: Some(2),
@@ -396,7 +391,7 @@ pub fn scheduling_study() -> Vec<SchedRow> {
 
     let mut run = |label: &str, pre_sched: bool, post_sched: bool, variant: Variant| {
         let cells = error::par_contained(
-            exec::default_jobs(),
+            jobs,
             &kernels,
             |name| format!("sched study {name} ({label})"),
             |name| {
@@ -472,7 +467,7 @@ mod sched_tests {
 
     #[test]
     fn scheduling_study_directions() {
-        let rows = scheduling_study();
+        let rows = scheduling_study(exec::available());
         let get = |label: &str| {
             rows.iter()
                 .find(|r| r.config == label)
@@ -525,7 +520,7 @@ pub const MULTITASK_QUANTA: [u64; 3] = [10_000, 100_000, 1_000_000];
 /// carve it up with a base register? Benefits come from the measured
 /// sizing curve; copy cost is `2 × size/8` memory operations at two
 /// cycles each (save + restore of 8-byte words).
-pub fn multitask_study() -> Vec<MultitaskRow> {
+pub fn multitask_study(jobs: usize) -> Vec<MultitaskRow> {
     let processes = 4u32;
     let sizes = [1024u32, 4096, 16 * 1024, 32 * 1024];
     // Measure the sizing curve at every size we need (full + quarter).
@@ -536,7 +531,7 @@ pub fn multitask_study() -> Vec<MultitaskRow> {
     }
     need.sort_unstable();
     need.dedup();
-    let points = ccm_sweep(&need);
+    let points = ccm_sweep_jobs(&need, jobs);
     let benefit = |size: u32| -> f64 {
         points
             .iter()
@@ -603,7 +598,7 @@ mod multitask_tests {
 
     #[test]
     fn partitioning_beats_copying_at_short_quanta() {
-        let rows = multitask_study();
+        let rows = multitask_study(exec::available());
         // The paper's recommendation: with a base register, a 16-32 KB CCM
         // gives every process the full single-process benefit.
         let big = rows.iter().find(|r| r.ccm_size == 32 * 1024).unwrap();

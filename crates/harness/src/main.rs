@@ -16,22 +16,13 @@
 //! `--inject-sweep` fires each registered fault point one at a time and
 //! asserts the pipeline survives with the expected structured failure.
 
+use harness::cli::Args;
 use harness::{error, inject_sweep, report};
 
 const USAGE: &str = "usage: repro [--table1] [--table2] [--table3] [--table4] \
      [--figure3] [--figure4] [--ablation] [--sweep] [--design] [--sched] [--multitask] \
      [--check[=json]] [--csv [DIR]] [--fuzz N [--seed S]] [--inject-sweep] \
      [--sim-budget N] [--errors-json] [--jobs N] [--all]";
-
-fn usage() -> ! {
-    eprintln!("{USAGE}");
-    std::process::exit(2)
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("repro: {msg}");
-    usage()
-}
 
 #[derive(Default)]
 struct Opts {
@@ -50,17 +41,19 @@ struct Opts {
     check_json: bool,
     csv: Option<std::path::PathBuf>,
     fuzz: Option<usize>,
-    fuzz_seed: u64,
+    fuzz_seed: Option<u64>,
     inject_sweep: bool,
     errors_json: bool,
+    jobs: Option<usize>,
 }
 
-fn parse(args: &[String]) -> Opts {
+fn parse(mut args: Args) -> Opts {
     let mut o = Opts::default();
     let mut all = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut any = false;
+    while let Some(a) = args.next_arg() {
+        any = true;
+        match a.as_str() {
             "--table1" => o.table1 = true,
             "--table2" => o.table2 = true,
             "--table3" => o.table3 = true,
@@ -79,64 +72,21 @@ fn parse(args: &[String]) -> Opts {
             }
             "--inject-sweep" => o.inject_sweep = true,
             "--errors-json" => o.errors_json = true,
-            "--sim-budget" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .unwrap_or_else(|| die("--sim-budget needs a step count"));
-                match v.parse::<u64>() {
-                    Ok(n) if n > 0 => sim::set_default_max_steps(n),
-                    _ => die(&format!("invalid --sim-budget `{v}`")),
-                }
-            }
-            "--csv" => {
-                // Optional directory operand; defaults to `results`.
-                let dir = match args.get(i + 1) {
-                    Some(d) if !d.starts_with('-') => {
-                        i += 1;
-                        d.clone()
-                    }
-                    _ => "results".to_string(),
-                };
-                o.csv = Some(std::path::PathBuf::from(dir));
-            }
-            "--fuzz" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .unwrap_or_else(|| die("--fuzz needs a case count"));
-                match v.parse::<usize>() {
-                    Ok(n) if n > 0 => o.fuzz = Some(n),
-                    _ => die(&format!("invalid --fuzz count `{v}`")),
-                }
-            }
-            "--seed" => {
-                i += 1;
-                let v = args.get(i).unwrap_or_else(|| die("--seed needs a value"));
-                match v.parse::<u64>() {
-                    Ok(s) => o.fuzz_seed = s,
-                    Err(_) => die(&format!("invalid --seed `{v}`")),
-                }
-            }
-            "--jobs" => {
-                i += 1;
-                let v = args.get(i).unwrap_or_else(|| die("--jobs needs a count"));
-                match exec::parse_jobs(v) {
-                    Ok(n) => exec::set_default_jobs(n),
-                    Err(e) => die(&e),
-                }
-            }
+            "--sim-budget" => sim::set_default_max_steps(args.at_least("--sim-budget", 1)),
+            // Optional directory operand; defaults to `results`.
+            "--csv" => o.csv = Some(args.optional_operand().unwrap_or("results".into()).into()),
+            "--fuzz" => o.fuzz = Some(args.at_least("--fuzz", 1)),
+            "--seed" => o.fuzz_seed = Some(args.value("--seed")),
+            "--jobs" => o.jobs = Some(args.jobs()),
             "--all" => all = true,
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown argument `{other}`")),
+            other => args.unknown(other),
         }
-        i += 1;
     }
-    if o.fuzz.is_none() && o.fuzz_seed != 0 {
-        die("--seed only applies to --fuzz");
+    if !any {
+        args.usage_error("no experiment selected");
+    }
+    if o.fuzz.is_none() && o.fuzz_seed.is_some() {
+        args.usage_error("--seed only applies to --fuzz");
     }
     if all {
         o.table1 = true;
@@ -156,26 +106,26 @@ fn parse(args: &[String]) -> Opts {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
-    }
-    let o = parse(&args);
+    let o = parse(Args::from_env("repro", USAGE));
+    let jobs = o.jobs.unwrap_or_else(exec::available);
     // Deferred failure: experiments record structured errors and keep
     // going; these track the extra failure sources (checker rows, fuzz
     // cases, sweep verdicts, csv IO) that aren't PipelineErrors.
     let mut deferred_failure = false;
 
     if o.table1 {
-        let rows = exec::timed("repro", "table1", harness::table1);
+        let rows = exec::timed("repro", "table1", jobs, || harness::table1_jobs(jobs));
         println!("{}", report::render_table1(&rows));
     }
     if o.table2 {
-        let rows = exec::timed("repro", "table2", || harness::speedup_rows(512));
+        let rows = exec::timed("repro", "table2", jobs, || {
+            harness::speedup_rows_jobs(512, jobs)
+        });
         println!("{}", report::render_table2(&rows, 512));
     }
     if o.table3 || o.table4 {
-        let (r512, r1024, improved) = exec::timed("repro", "table3", harness::table3);
+        let (r512, r1024, improved) =
+            exec::timed("repro", "table3", jobs, || harness::table3_jobs(jobs));
         if o.table3 {
             println!("{}", report::render_table3(&r512, &r1024, &improved));
         }
@@ -184,36 +134,44 @@ fn main() {
         }
     }
     if o.figure3 {
-        let rows = exec::timed("repro", "figure3", || harness::figure(512));
+        let rows = exec::timed("repro", "figure3", jobs, || harness::figure_jobs(512, jobs));
         println!("{}", report::render_figure(&rows, 512));
     }
     if o.figure4 {
-        let rows = exec::timed("repro", "figure4", || harness::figure(1024));
+        let rows = exec::timed("repro", "figure4", jobs, || {
+            harness::figure_jobs(1024, jobs)
+        });
         println!("{}", report::render_figure(&rows, 1024));
     }
     if o.ablation {
-        let rows = exec::timed("repro", "ablation", harness::ablation);
+        let rows = exec::timed("repro", "ablation", jobs, || harness::ablation_jobs(jobs));
         println!("{}", report::render_ablation(&rows));
     }
     if o.sweep {
         let sizes = [64, 128, 256, 512, 1024, 2048, 4096];
-        let pts = exec::timed("repro", "sweep", || harness::ccm_sweep(&sizes));
+        let pts = exec::timed("repro", "sweep", jobs, || {
+            harness::ccm_sweep_jobs(&sizes, jobs)
+        });
         println!("{}", harness::render_sweep(&pts));
     }
     if o.design {
-        let rows = exec::timed("repro", "design", harness::design_ablation);
+        let rows = exec::timed("repro", "design", 1, harness::design_ablation);
         println!("{}", harness::render_design(&rows));
     }
     if o.sched {
-        let rows = exec::timed("repro", "sched", harness::scheduling_study);
+        let rows = exec::timed("repro", "sched", jobs, || harness::scheduling_study(jobs));
         println!("{}", harness::render_sched(&rows));
     }
     if o.multitask {
-        let rows = exec::timed("repro", "multitask", harness::multitask_study);
+        let rows = exec::timed("repro", "multitask", jobs, || {
+            harness::multitask_study(jobs)
+        });
         println!("{}", harness::render_multitask(&rows));
     }
     if o.check {
-        let rows = exec::timed("repro", "check", || harness::check_suite(&[512, 1024]));
+        let rows = exec::timed("repro", "check", jobs, || {
+            harness::check_suite_jobs(&[512, 1024], jobs)
+        });
         if o.check_json {
             print!("{}", report::render_check_json(&rows));
         } else {
@@ -224,10 +182,10 @@ fn main() {
         }
     }
     if let Some(n) = o.fuzz {
-        let seed = o.fuzz_seed;
+        let seed = o.fuzz_seed.unwrap_or(0);
         let cfg = fuzz::OracleConfig::default();
-        let rep = exec::timed("repro", "fuzz", || {
-            fuzz::campaign_report(n, seed, exec::default_jobs(), &cfg)
+        let rep = exec::timed("repro", "fuzz", jobs, || {
+            fuzz::campaign_report(n, seed, jobs, &cfg)
         });
         print!("{}", rep.text);
         if rep.failures > 0 {
@@ -235,8 +193,8 @@ fn main() {
         }
     }
     if o.inject_sweep {
-        let outcomes = exec::timed("repro", "inject-sweep", || {
-            inject_sweep::run_sweep(exec::default_jobs())
+        let outcomes = exec::timed("repro", "inject-sweep", jobs, || {
+            inject_sweep::run_sweep(jobs)
         });
         print!("{}", inject_sweep::render(&outcomes));
         if outcomes.iter().any(|v| !v.passed) {
@@ -244,7 +202,7 @@ fn main() {
         }
     }
     if let Some(dir) = o.csv {
-        match exec::timed("repro", "csv", || harness::export_all(&dir)) {
+        match exec::timed("repro", "csv", jobs, || harness::export_all(&dir, jobs)) {
             Ok(files) => eprintln!("wrote {} CSV files to {}", files.len(), dir.display()),
             Err(e) => {
                 eprintln!("csv export failed: {e}");
