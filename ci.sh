@@ -17,6 +17,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== tier-1: cargo build --release"
 cargo build --release
 
+echo "== benchmark worker: cargo build --release --manifest-path pipebench/Cargo.toml"
+# pipebench/ is its own cargo workspace, so the steps above never build
+# it, yet it calls harness, cache, ccm, fuzz, regalloc and checker
+# functions by name: an API change there must fail CI, not the next
+# benchmark run.
+cargo build --release --manifest-path pipebench/Cargo.toml
+
 echo "== tier-1: cargo test -q"
 cargo test -q
 

@@ -15,7 +15,9 @@
 //! * [`CcmPlacer`] / [`allocate_module_integrated`] — CCM spilling
 //!   integrated into the Chaitin-Briggs allocator (§3.2, Figure 2);
 //! * [`Variant`] / [`allocate`] — the four allocation configurations
-//!   the paper measures, applied through one dispatch.
+//!   the paper measures, applied through one dispatch; [`chaitin`] and
+//!   [`promote`] are its two stages, for callers that share one
+//!   Chaitin-Briggs allocation across variants and CCM sizes.
 //!
 //! # Quickstart
 //!
@@ -81,4 +83,4 @@ pub use integrated::{
 };
 pub use postpass::{postpass_promote, FnPromotion, PostpassConfig};
 pub use slots::{CallSite, SlotAnalysis};
-pub use variant::{allocate, AllocOutcome, Variant};
+pub use variant::{allocate, chaitin, promote, AllocOutcome, Variant};

@@ -3,6 +3,16 @@
 //! post-pass allocator over that baseline with or without call-graph
 //! information (§3.1), and CCM spilling integrated into the allocator
 //! (§3.2).
+//!
+//! The three non-integrated variants share their expensive half: the
+//! post-pass allocator runs *after* a conventional Chaitin-Briggs
+//! allocation, which depends on neither the variant nor the CCM size.
+//! So allocation is two stages, [`chaitin`] once per module and
+//! [`promote`] per (variant, CCM size) on a copy of its output; a caller
+//! that measures many configurations of one module (the harness cache,
+//! the fuzz oracle) runs the first stage once. [`allocate`] chains the
+//! two for one-shot callers, and is the only entry for
+//! [`Variant::Integrated`], which is its own allocator.
 
 use iloc::Module;
 use regalloc::AllocConfig;
@@ -64,49 +74,66 @@ pub struct AllocOutcome {
     pub degraded: Vec<Degradation>,
 }
 
+/// Stage one of every variant but [`Variant::Integrated`]: the
+/// conventional Chaitin-Briggs allocation under `cfg`, with every spill
+/// to main memory. The result is the [`Variant::Baseline`] module.
+/// Returns the number of live ranges spilled.
+pub fn chaitin(m: &mut Module, cfg: &AllocConfig) -> usize {
+    regalloc::allocate_module(m, cfg).total_spilled()
+}
+
+/// Stage two: applies `variant`'s post-pass to a module that [`chaitin`]
+/// allocated, with CCM capacity `ccm_size`, and returns the functions
+/// that degraded to heavyweight spills. [`Variant::Baseline`] leaves the
+/// module as it is.
+///
+/// # Panics
+///
+/// On [`Variant::Integrated`], which allocates from scratch: use
+/// [`allocate`].
+pub fn promote(m: &mut Module, variant: Variant, ccm_size: u32) -> Vec<Degradation> {
+    let interprocedural = match variant {
+        Variant::Baseline => return Vec::new(),
+        Variant::PostPass => false,
+        Variant::PostPassCallGraph => true,
+        Variant::Integrated => panic!("the integrated allocator has no post-pass stage"),
+    };
+    crate::postpass_promote(
+        m,
+        &crate::PostpassConfig {
+            ccm_size,
+            interprocedural,
+        },
+    )
+    .into_iter()
+    .filter_map(|p| {
+        p.degraded.map(|reason| Degradation {
+            function: p.name,
+            reason,
+        })
+    })
+    .collect()
+}
+
 /// Applies `variant` allocation under `cfg`, with CCM capacity
-/// `ccm_size`, to an optimized module.
+/// `ccm_size`, to an optimized module: [`chaitin`] then [`promote`], or
+/// the integrated allocator.
 pub fn allocate(
     m: &mut Module,
     variant: Variant,
     ccm_size: u32,
     cfg: &AllocConfig,
 ) -> AllocOutcome {
-    let postpass = |m: &mut Module, interprocedural: bool| -> AllocOutcome {
-        let n = regalloc::allocate_module(m, cfg).total_spilled();
-        let promos = crate::postpass_promote(
-            m,
-            &crate::PostpassConfig {
-                ccm_size,
-                interprocedural,
-            },
-        );
-        AllocOutcome {
-            spilled_ranges: n,
-            degraded: promos
-                .into_iter()
-                .filter_map(|p| {
-                    p.degraded.map(|reason| Degradation {
-                        function: p.name,
-                        reason,
-                    })
-                })
-                .collect(),
-        }
-    };
-    match variant {
-        Variant::Baseline => AllocOutcome {
-            spilled_ranges: regalloc::allocate_module(m, cfg).total_spilled(),
-            degraded: Vec::new(),
-        },
-        Variant::PostPass => postpass(m, false),
-        Variant::PostPassCallGraph => postpass(m, true),
-        Variant::Integrated => {
-            let (a, _, degraded) = crate::allocate_module_integrated(m, cfg, ccm_size);
-            AllocOutcome {
-                spilled_ranges: a.total_spilled(),
-                degraded,
-            }
-        }
+    if variant == Variant::Integrated {
+        let (a, _, degraded) = crate::allocate_module_integrated(m, cfg, ccm_size);
+        return AllocOutcome {
+            spilled_ranges: a.total_spilled(),
+            degraded,
+        };
+    }
+    let spilled_ranges = chaitin(m, cfg);
+    AllocOutcome {
+        spilled_ranges,
+        degraded: promote(m, variant, ccm_size),
     }
 }

@@ -172,7 +172,7 @@ impl FailureKind {
 
 /// One oracle failure: what went wrong, where, and a human-readable
 /// detail line.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Failure {
     /// The failure class (preserved by the minimizer).
     pub kind: FailureKind,
@@ -192,7 +192,7 @@ impl Failure {
 }
 
 /// Aggregate statistics for a passing case.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CaseStats {
     /// Instructions in the generated module (pre-allocation).
     pub instrs: usize,
@@ -209,14 +209,23 @@ struct VariantRun {
     float_bits: Vec<u64>,
     cycles: u64,
     ccm_ops: u64,
-    spilled: usize,
 }
 
-fn run_variant(
-    m: &Module,
+fn panicked(variant: Variant, ccm: u32, payload: &(dyn std::any::Any + Send)) -> Failure {
+    Failure {
+        kind: FailureKind::Panicked,
+        variant,
+        ccm,
+        detail: exec::render_payload(payload),
+    }
+}
+
+/// Checks and simulates `mm`, which `variant` allocated for a CCM of
+/// `ccm` bytes.
+fn run_allocated(
+    mm: &Module,
     variant: Variant,
     ccm: u32,
-    mutation: Option<Mutation>,
     alloc: &AllocConfig,
 ) -> Result<VariantRun, Failure> {
     let fail = |kind, detail| Failure {
@@ -225,33 +234,55 @@ fn run_variant(
         ccm,
         detail,
     };
-    let allocated = catch_unwind(AssertUnwindSafe(|| {
-        let mut mm = m.clone();
-        let spilled = ccm::allocate(&mut mm, variant, ccm, alloc).spilled_ranges;
-        if let Some(mu) = mutation.filter(|_| variant != Variant::Baseline) {
-            apply_mutation(&mut mm, mu);
-        }
-        (mm, spilled)
-    }));
-    let (mm, spilled) =
-        allocated.map_err(|p| fail(FailureKind::Panicked, exec::render_payload(p.as_ref())))?;
-    let diags = checker::check_module(&mm, &checker::CheckerConfig::with_alloc(ccm, *alloc));
+    let diags = checker::check_module(mm, &checker::CheckerConfig::with_alloc(ccm, *alloc));
     if let Some(summary) = checker::error_summary(&diags) {
         return Err(fail(FailureKind::CheckerRejected, summary));
     }
-    match sim::run_module(&mm, MachineConfig::with_ccm(ccm), "main") {
+    match sim::run_module(mm, MachineConfig::with_ccm(ccm), "main") {
         Ok((vals, metrics)) => Ok(VariantRun {
             ints: vals.ints,
             float_bits: vals.floats.iter().map(|f| f.to_bits()).collect(),
             cycles: metrics.cycles,
             ccm_ops: metrics.ccm_ops,
-            spilled,
         }),
         Err(e) => Err(fail(FailureKind::Trap, e.to_string())),
     }
 }
 
-/// Runs the full differential oracle on one module.
+/// Allocates a non-baseline `variant` for a CCM of `ccm` bytes, applies
+/// `mutation`, then checks and simulates the result. The integrated
+/// allocator starts from `m`; the post-pass variants promote a copy of
+/// `chaitin`, the shared Chaitin-Briggs allocation of `m`.
+fn run_variant(
+    m: &Module,
+    chaitin: &Module,
+    variant: Variant,
+    ccm: u32,
+    mutation: Option<Mutation>,
+    alloc: &AllocConfig,
+) -> Result<VariantRun, Failure> {
+    let mm = catch_unwind(AssertUnwindSafe(|| {
+        let mut mm = if variant == Variant::Integrated {
+            let mut mm = m.clone();
+            ccm::allocate(&mut mm, variant, ccm, alloc);
+            mm
+        } else {
+            let mut mm = chaitin.clone();
+            ccm::promote(&mut mm, variant, ccm);
+            mm
+        };
+        if let Some(mu) = mutation {
+            apply_mutation(&mut mm, mu);
+        }
+        mm
+    }))
+    .map_err(|p| panicked(variant, ccm, p.as_ref()))?;
+    run_allocated(&mm, variant, ccm, alloc)
+}
+
+/// Runs the full differential oracle on one module. The Chaitin-Briggs
+/// allocation that the baseline and post-pass variants share runs once;
+/// if it panics, the failure is the baseline's at the first CCM size.
 ///
 /// # Errors
 ///
@@ -262,19 +293,23 @@ pub fn run_oracle(m: &Module, cfg: &OracleConfig) -> Result<CaseStats, Failure> 
         instrs: m.instr_count(),
         ..CaseStats::default()
     };
-    let mut first = true;
-    for &ccm in &cfg.ccm_sizes {
-        let base = run_variant(m, Variant::Baseline, ccm, None, &cfg.alloc)?;
-        if first {
-            stats.spilled_ranges = base.spilled;
+    let Some(&first) = cfg.ccm_sizes.first() else {
+        return Ok(stats);
+    };
+    let mut chaitin = m.clone();
+    stats.spilled_ranges =
+        catch_unwind(AssertUnwindSafe(|| ccm::chaitin(&mut chaitin, &cfg.alloc)))
+            .map_err(|p| panicked(Variant::Baseline, first, p.as_ref()))?;
+    for (i, &ccm) in cfg.ccm_sizes.iter().enumerate() {
+        let base = run_allocated(&chaitin, Variant::Baseline, ccm, &cfg.alloc)?;
+        if i == 0 {
             stats.base_cycles = base.cycles;
-            first = false;
         }
         for &v in &cfg.variants {
             if v == Variant::Baseline {
                 continue;
             }
-            let r = run_variant(m, v, ccm, cfg.mutation, &cfg.alloc)?;
+            let r = run_variant(m, &chaitin, v, ccm, cfg.mutation, &cfg.alloc)?;
             stats.ccm_ops += r.ccm_ops;
             if r.ints != base.ints || r.float_bits != base.float_bits {
                 return Err(Failure {

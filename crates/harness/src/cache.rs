@@ -1,83 +1,118 @@
 //! Memoized pipeline stages, shared by every experiment.
 //!
-//! `repro --all` used to redo the same work once per table: rebuild and
-//! re-optimize every kernel module, re-allocate it per (variant, CCM
-//! size), re-check it, and re-simulate it. Every stage of that pipeline
-//! is deterministic (the suite is seeded, allocation and simulation take
-//! no entropy), so each is cached here at its natural key and every later
-//! experiment reads the cache instead of recomputing:
+//! `repro --all` would otherwise redo the same work once per table:
+//! rebuild and re-optimize every kernel module, re-allocate it per
+//! (variant, CCM size), re-check it, and re-simulate it. Every stage of
+//! that pipeline is deterministic (the suite is seeded, allocation and
+//! simulation take no entropy), so each is cached here at its natural
+//! key, and every later experiment reads the cache instead of
+//! recomputing. The stages form one chain:
 //!
-//! * **builds** — [`optimized`]/[`program`] memoize
+//! * **build** — [`optimized`]/[`program`] memoize
 //!   [`suite::build_optimized`]/[`suite::build_program`] per unit name;
-//! * **allocations** — [`allocated`] memoizes allocate-then-check per
-//!   (unit, variant, CCM size); `--table3 --check` stops re-allocating
-//!   the 616 configurations the tables already produced;
-//! * **measurements** — [`measure_unit`] memoizes the simulation result
-//!   per (unit, variant, machine fingerprint); Table 2's rows are a
-//!   subset of Table 3's, and the sweep/multitask studies revisit the
-//!   same CCM sizes.
+//! * **chaitin** — [`chaitin`] memoizes the conventional Chaitin-Briggs
+//!   allocation ([`ccm::chaitin`]) of a build per unit name. It depends
+//!   on neither the variant nor the CCM size, so the `--sweep` and
+//!   `--table3` sizes, the three non-integrated variants and Table 1's
+//!   compaction all share it;
+//! * **promote / integrated, then check** — [`allocated`] memoizes one
+//!   checked allocation per (unit, variant, CCM size). The post-pass
+//!   variants promote a copy of the chaitin module ([`ccm::promote`]);
+//!   `Baseline` *is* the chaitin module, shared without a copy; and the
+//!   integrated allocator, its own allocator, starts from the build;
+//! * **sim** — [`measure_unit`] memoizes the simulation result per
+//!   (unit, variant, machine fingerprint); Table 2's rows are a subset
+//!   of Table 3's, and the sweep/multitask studies revisit the same CCM
+//!   sizes.
 //!
-//! Failure is structured end to end: build panics become `stage=opt`
-//! errors, allocation panics `stage=alloc`, checker rejections
-//! `stage=checker`, simulator traps `stage=sim` — and every cached
-//! measurement is **sealed** with a digest at insert time, so a
+//! **One computation per key.** Each key owns a cell with its own lock.
+//! The map lock is held only to find or insert the cell; the first
+//! worker to ask for a key computes it under the cell's lock, and other
+//! workers asking for the same key wait for that result instead of
+//! computing it again. Workers on other keys never wait. Locks are taken
+//! only down the chain (sim → allocation → chaitin), so waiting cannot
+//! deadlock. A cache hit returns exactly the value a recomputation
+//! would, which is why caching cannot break the engine's byte-identical
+//! guarantee at any `--jobs`.
+//!
+//! **Errors are never cached.** Failure is structured end to end: build
+//! panics become `stage=opt` errors, allocation panics `stage=alloc`,
+//! checker rejections `stage=checker`, simulator traps `stage=sim`. A
+//! failed computation leaves its cell empty, so the next caller
+//! recomputes rather than replaying a stale error. Every cached
+//! measurement is also **sealed** with a digest at insert time: a
 //! corrupted entry (bit rot, or the `cache.corrupt_measurement` fault
 //! point) is detected on its next hit as a `stage=cache` error and
 //! evicted instead of silently poisoning a table.
-//!
-//! Expensive work happens outside the map locks — two workers racing on
-//! the same key may both compute it (identical results, first insert
-//! wins), but workers never serialize on each other's computation. That
-//! is also why caching cannot break the engine's byte-identical
-//! guarantee: a cache hit returns exactly the value a recomputation
-//! would.
 
 use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::hash::Hash;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
-use ccm::Variant;
+use ccm::{AllocOutcome, Variant};
 use iloc::Module;
+use regalloc::AllocConfig;
 use sim::MachineConfig;
 use suite::{Kernel, Program};
 
-use crate::error::{PipelineError, Stage};
+use crate::error::{self, PipelineError, Stage};
 use crate::pipeline::{self, Allocated, Measurement};
 
-/// Locks a cache map, recovering from poisoning: a panic caught by the
-/// containment layer must not wedge every later measurement.
+/// Locks a cache map or cell, recovering from poisoning: a panic caught
+/// by the containment layer must not wedge every later measurement.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-type Map = Mutex<HashMap<&'static str, Arc<Module>>>;
+/// A memo cell: empty until its key's computation first succeeds.
+type Cell<V> = Arc<Mutex<Option<V>>>;
 
-fn kernel_cache() -> &'static Map {
-    static CACHE: OnceLock<Map> = OnceLock::new();
-    CACHE.get_or_init(Map::default)
+/// One memoized stage: a process-wide map from key to [`Cell`].
+struct Memo<K, V>(OnceLock<Mutex<HashMap<K, Cell<V>>>>);
+
+impl<K: Eq + Hash, V: Clone> Memo<K, V> {
+    const fn new() -> Self {
+        Memo(OnceLock::new())
+    }
+
+    /// The cell of `key`, inserted empty on first use. Holds the map lock
+    /// only for the lookup.
+    fn cell(&self, key: K) -> Cell<V> {
+        let map = self.0.get_or_init(Mutex::default);
+        Arc::clone(lock(map).entry(key).or_default())
+    }
+
+    /// The value of `key`, computed by `compute` under the cell's lock
+    /// if no earlier call succeeded. An error leaves the cell empty.
+    fn get_or_try(
+        &self,
+        key: K,
+        compute: impl FnOnce() -> Result<V, PipelineError>,
+    ) -> Result<V, PipelineError> {
+        let cell = self.cell(key);
+        let mut slot = lock(&cell);
+        if let Some(v) = &*slot {
+            return Ok(v.clone());
+        }
+        let v = compute()?;
+        *slot = Some(v.clone());
+        Ok(v)
+    }
 }
 
-fn program_cache() -> &'static Map {
-    static CACHE: OnceLock<Map> = OnceLock::new();
-    CACHE.get_or_init(Map::default)
-}
+static KERNELS: Memo<&'static str, Arc<Module>> = Memo::new();
+static PROGRAMS: Memo<&'static str, Arc<Module>> = Memo::new();
 
 fn memoized(
-    map: &'static Map,
+    memo: &Memo<&'static str, Arc<Module>>,
     name: &'static str,
     build: impl FnOnce() -> Module,
 ) -> Result<Arc<Module>, PipelineError> {
-    if let Some(m) = lock(map).get(name) {
-        return Ok(Arc::clone(m));
-    }
     // Build panics (a generator or optimizer bug) become structured
-    // `stage=opt` failures; nothing is cached, so a later retry
-    // recomputes rather than replaying a stale error.
-    let built = catch_unwind(AssertUnwindSafe(build))
-        .map_err(|p| PipelineError::new(Stage::Opt, name, exec::render_payload(p.as_ref())))?;
-    let built = Arc::new(built);
-    let mut map = lock(map);
-    Ok(Arc::clone(map.entry(name).or_insert(built)))
+    // `stage=opt` failures.
+    memo.get_or_try(name, || {
+        error::contain(Stage::Opt, name, build).map(Arc::new)
+    })
 }
 
 /// [`suite::build_optimized`], memoized per kernel name.
@@ -86,8 +121,7 @@ fn memoized(
 ///
 /// A build/optimize panic is contained as a `stage=opt` error.
 pub fn optimized(k: &Kernel) -> Result<Arc<Module>, PipelineError> {
-    let k = k.clone();
-    memoized(kernel_cache(), k.name, move || suite::build_optimized(&k))
+    memoized(&KERNELS, k.name, || suite::build_optimized(k))
 }
 
 /// [`suite::build_program`], memoized per program name.
@@ -96,22 +130,49 @@ pub fn optimized(k: &Kernel) -> Result<Arc<Module>, PipelineError> {
 ///
 /// A build/optimize panic is contained as a `stage=opt` error.
 pub fn program(p: &Program) -> Result<Arc<Module>, PipelineError> {
-    let p = p.clone();
-    memoized(program_cache(), p.name, move || suite::build_program(&p))
+    memoized(&PROGRAMS, p.name, || suite::build_program(p))
 }
 
-type AllocKey = (String, Variant, u32);
-type AllocMap = Mutex<HashMap<AllocKey, Allocated>>;
-
-fn alloc_cache() -> &'static AllocMap {
-    static CACHE: OnceLock<AllocMap> = OnceLock::new();
-    CACHE.get_or_init(AllocMap::default)
+/// The chaitin stage's output: the `Baseline` module of a unit.
+#[derive(Clone)]
+pub struct Chaitin {
+    /// The build after [`ccm::chaitin`], every spill in main memory.
+    pub module: Arc<Module>,
+    /// Live ranges spilled during allocation.
+    pub spilled_ranges: usize,
 }
 
-/// [`pipeline::allocate_checked`] on `base`, memoized per (unit name,
-/// variant, CCM size). Kernel and program names are globally unique in
-/// the suite, so the flat name key cannot collide; `base` must be the
-/// cached build for `name`.
+static CHAITIN: Memo<String, Chaitin> = Memo::new();
+
+/// [`ccm::chaitin`] on `base` under the default [`AllocConfig`],
+/// memoized per unit name; `base` must be the cached build for `name`.
+///
+/// # Errors
+///
+/// An allocation panic is contained as a `stage=alloc` error with no
+/// variant or CCM size.
+pub fn chaitin(name: &str, base: &Module) -> Result<Chaitin, PipelineError> {
+    CHAITIN.get_or_try(name.to_string(), || {
+        error::contain(Stage::Alloc, name, || {
+            let mut m = base.clone();
+            let spilled_ranges = ccm::chaitin(&mut m, &AllocConfig::default());
+            Chaitin {
+                module: Arc::new(m),
+                spilled_ranges,
+            }
+        })
+    })
+}
+
+static ALLOCATIONS: Memo<(String, Variant, u32), Allocated> = Memo::new();
+
+/// One allocated-and-checked configuration of `base`, memoized per (unit
+/// name, variant, CCM size), with the same result as
+/// [`pipeline::allocate_checked`]. The non-integrated variants start
+/// from the unit's memoized Chaitin-Briggs allocation: `Baseline` shares
+/// its module, and the post-pass variants promote a copy. Kernel and
+/// program names are globally unique in the suite, so the flat name key
+/// cannot collide; `base` must be the cached build for `name`.
 ///
 /// # Errors
 ///
@@ -122,15 +183,31 @@ pub fn allocated(
     variant: Variant,
     ccm_size: u32,
 ) -> Result<Allocated, PipelineError> {
-    let key = (name.to_string(), variant, ccm_size);
-    if let Some(a) = lock(alloc_cache()).get(&key) {
-        return Ok(a.clone());
-    }
-    let built = pipeline::allocate_checked(name, (**base).clone(), variant, ccm_size)?;
-    Ok(lock(alloc_cache()).entry(key).or_insert(built).clone())
+    ALLOCATIONS.get_or_try((name.to_string(), variant, ccm_size), || {
+        if variant == Variant::Integrated {
+            return pipeline::allocate_checked(name, (**base).clone(), variant, ccm_size);
+        }
+        let c = chaitin(name, base).map_err(|e| e.at(variant, ccm_size))?;
+        let (module, degraded) = if variant == Variant::Baseline {
+            (c.module, Vec::new())
+        } else {
+            error::contain(Stage::Alloc, name, || {
+                let mut m = (*c.module).clone();
+                let degraded = ccm::promote(&mut m, variant, ccm_size);
+                (Arc::new(m), degraded)
+            })
+            .map_err(|e| e.at(variant, ccm_size))?
+        };
+        let outcome = AllocOutcome {
+            spilled_ranges: c.spilled_ranges,
+            degraded,
+        };
+        Ok(Allocated::checked(module, outcome, ccm_size))
+    })
 }
 
 /// A cached measurement sealed with the digest computed at insert time.
+#[derive(Clone)]
 struct Sealed {
     m: Measurement,
     digest: u64,
@@ -163,13 +240,7 @@ fn digest(m: &Measurement) -> u64 {
     h
 }
 
-type MeasKey = (String, Variant, String);
-type MeasMap = Mutex<HashMap<MeasKey, Sealed>>;
-
-fn meas_cache() -> &'static MeasMap {
-    static CACHE: OnceLock<MeasMap> = OnceLock::new();
-    CACHE.get_or_init(MeasMap::default)
-}
+static MEASUREMENTS: Memo<(String, Variant, String), Sealed> = Memo::new();
 
 /// [`pipeline::measure`] over the allocation cache, itself memoized per
 /// (unit name, variant, machine). The machine key is the full
@@ -187,23 +258,21 @@ pub fn measure_unit(
     variant: Variant,
     machine: &MachineConfig,
 ) -> Result<Measurement, PipelineError> {
-    let key = (name.to_string(), variant, format!("{machine:?}"));
-    {
-        let mut map = lock(meas_cache());
-        if let Some(sealed) = map.get(&key) {
-            if digest(&sealed.m) == sealed.digest {
-                return Ok(sealed.m.clone());
-            }
-            // Corrupt entry: evict so the next call recomputes, and
-            // surface the detection as a structured failure.
-            map.remove(&key);
-            return Err(PipelineError::new(
-                Stage::Cache,
-                name,
-                "corrupt cache entry: measurement digest mismatch (entry evicted)",
-            )
-            .at(variant, machine.ccm_size));
+    let cell = MEASUREMENTS.cell((name.to_string(), variant, format!("{machine:?}")));
+    let mut slot = lock(&cell);
+    if let Some(sealed) = &*slot {
+        if digest(&sealed.m) == sealed.digest {
+            return Ok(sealed.m.clone());
         }
+        // Corrupt entry: evict so the next call recomputes, and surface
+        // the detection as a structured failure.
+        *slot = None;
+        return Err(PipelineError::new(
+            Stage::Cache,
+            name,
+            "corrupt cache entry: measurement digest mismatch (entry evicted)",
+        )
+        .at(variant, machine.ccm_size));
     }
     let a = allocated(name, base, variant, machine.ccm_size)?;
     let built = pipeline::measure_allocated(name, &a, variant, machine)?;
@@ -216,7 +285,7 @@ pub fn measure_unit(
         // clean, but the next hit must detect the mismatch.
         sealed.m.cycles ^= 0xdead_beef;
     }
-    lock(meas_cache()).entry(key).or_insert(sealed);
+    *slot = Some(sealed);
     Ok(built)
 }
 
@@ -232,6 +301,36 @@ mod tests {
         assert!(Arc::ptr_eq(&cached, &again), "second lookup must hit");
         let fresh = suite::build_optimized(&k);
         assert_eq!(format!("{fresh}"), format!("{cached}"));
+    }
+
+    #[test]
+    fn staged_allocation_matches_one_shot_allocate() {
+        let kernel = |name| optimized(&suite::kernel(name).unwrap()).unwrap();
+        let units = [
+            ("radf5", kernel("radf5")),
+            ("fpppp", kernel("fpppp")),
+            (
+                "fftpack",
+                program(&suite::program("fftpack").unwrap()).unwrap(),
+            ),
+        ];
+        for (name, base) in &units {
+            for ccm_size in [512, 1024] {
+                for v in Variant::ALL {
+                    let staged = allocated(name, base, v, ccm_size).unwrap();
+                    let mut fresh = (**base).clone();
+                    let out = ccm::allocate(&mut fresh, v, ccm_size, &AllocConfig::default());
+                    let at = format!("{name} {v:?} @ {ccm_size} B");
+                    assert_eq!(format!("{}", staged.module), format!("{fresh}"), "{at}");
+                    assert_eq!(staged.spilled_ranges, out.spilled_ranges, "{at}");
+                    assert_eq!(*staged.degraded, out.degraded, "{at}");
+                }
+            }
+            // The baseline allocation ran once: both sizes share its module.
+            let small = allocated(name, base, Variant::Baseline, 512).unwrap();
+            let large = allocated(name, base, Variant::Baseline, 1024).unwrap();
+            assert!(Arc::ptr_eq(&small.module, &large.module), "{name}");
+        }
     }
 
     #[test]
@@ -278,8 +377,8 @@ mod tests {
             Variant::PostPass,
             format!("{machine:?}"),
         );
-        lock(meas_cache())
-            .get_mut(&key)
+        lock(&MEASUREMENTS.cell(key))
+            .as_mut()
             .expect("entry present")
             .m
             .cycles ^= 1;

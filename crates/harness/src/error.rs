@@ -16,6 +16,7 @@
 //! record concurrently.
 
 use std::fmt;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
 use ccm::Variant;
@@ -106,6 +107,18 @@ impl fmt::Display for PipelineError {
 fn sink() -> &'static Mutex<Vec<PipelineError>> {
     static SINK: Mutex<Vec<PipelineError>> = Mutex::new(Vec::new());
     &SINK
+}
+
+/// Runs one pipeline stage, turning a panic into a `stage` error for
+/// `unit` that carries the panic message, instead of unwinding through
+/// the campaign.
+///
+/// # Errors
+///
+/// The contained panic.
+pub fn contain<T>(stage: Stage, unit: &str, f: impl FnOnce() -> T) -> Result<T, PipelineError> {
+    catch_unwind(AssertUnwindSafe(f))
+        .map_err(|p| PipelineError::new(stage, unit, exec::render_payload(p.as_ref())))
 }
 
 /// Records a failure into the end-of-run report and returns it back (so

@@ -48,8 +48,8 @@ pub fn table1_jobs(jobs: usize) -> Vec<CompactionRow> {
         &kernels,
         |k| format!("table1 {}", k.name),
         |k| {
-            let mut m = (*cache::optimized(k)?).clone();
-            regalloc::allocate_module(&mut m, &regalloc::AllocConfig::default());
+            let base = cache::optimized(k)?;
+            let mut m = (*cache::chaitin(k.name, &base)?.module).clone();
             let before: u32 = m.functions.iter().map(|f| f.frame.spill_bytes()).sum();
             if before == 0 {
                 return Ok(None);

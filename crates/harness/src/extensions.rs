@@ -108,153 +108,122 @@ pub struct DesignRow {
 
 const ABLATION_KERNELS: [&str; 5] = ["fpppp", "radf5", "deseco", "urand", "erhs"];
 
-fn run_config(
-    opts: &opt::OptOptions,
-    alloc: &AllocConfig,
-    variant: Variant,
-) -> Result<DesignRow, PipelineError> {
-    let machine = MachineConfig::with_ccm(512);
-    let mut spilled = 0;
-    let mut spill_bytes = 0;
-    let mut cycles = 0;
-    for name in ABLATION_KERNELS {
-        let k = suite::kernel(name)
-            .ok_or_else(|| PipelineError::new(Stage::Parse, name, "unknown suite kernel"))?;
-        let mut m = (k.build)();
-        let o = opt::OptOptions {
-            unroll: k.unroll,
-            ..*opts
-        };
-        opt::optimize_module(&mut m, &o);
-        spilled += ccm::allocate(&mut m, variant, 512, alloc).spilled_ranges;
-        if variant != Variant::Baseline {
-            // Paper, footnote 3: repack the remaining heavyweight slots
-            // so the reported spill space is honest.
-            ccm::compact_module(&mut m);
-        }
-        spill_bytes += m
-            .functions
-            .iter()
-            .map(|f| f.frame.spill_bytes())
-            .sum::<u32>();
-        let (_, metrics) = sim::run_module(&m, machine.clone(), "main")
-            .map_err(|e| PipelineError::new(Stage::Sim, name, e.to_string()))?;
-        cycles += metrics.cycles;
+/// One design configuration: its label, optimizer options, allocator
+/// options and allocation variant.
+type DesignConfig = (&'static str, opt::OptOptions, AllocConfig, Variant);
+
+/// Builds, allocates and simulates one kernel under a configuration,
+/// returning its spilled ranges, main-memory spill bytes and cycles.
+fn run_kernel(
+    name: &'static str,
+    (_, opts, alloc, variant): &DesignConfig,
+) -> Result<(usize, u32, u64), PipelineError> {
+    let k = suite::kernel(name)
+        .ok_or_else(|| PipelineError::new(Stage::Parse, name, "unknown suite kernel"))?;
+    let mut m = (k.build)();
+    let o = opt::OptOptions {
+        unroll: k.unroll,
+        ..*opts
+    };
+    opt::optimize_module(&mut m, &o);
+    let spilled = ccm::allocate(&mut m, *variant, 512, alloc).spilled_ranges;
+    if *variant != Variant::Baseline {
+        // Paper, footnote 3: repack the remaining heavyweight slots so
+        // the reported spill space is honest.
+        ccm::compact_module(&mut m);
     }
-    Ok(DesignRow {
-        config: String::new(),
-        spilled,
-        spill_bytes,
-        cycles,
-    })
+    let spill_bytes = m.functions.iter().map(|f| f.frame.spill_bytes()).sum();
+    let (_, metrics) = sim::run_module(&m, MachineConfig::with_ccm(512), "main")
+        .map_err(|e| PipelineError::new(Stage::Sim, name, e.to_string()))?;
+    Ok((spilled, spill_bytes, metrics.cycles))
 }
 
 /// Ablates the design choices: scalar optimization on/off, LICM on/off,
 /// coalescing on/off, and caller-saved conventions — each measured by
 /// spills produced and cycles executed on a spill-heavy subset.
-pub fn design_ablation() -> Vec<DesignRow> {
-    let base_opts = opt::OptOptions::default();
-    let base_alloc = AllocConfig::default();
+///
+/// Every (configuration, kernel) pair is one work item, run on `jobs`
+/// workers and folded in item order. A configuration whose kernel fails
+/// is dropped, and the first failing kernel in item order is recorded;
+/// the other configurations still report.
+pub fn design_ablation(jobs: usize) -> Vec<DesignRow> {
+    use Variant::{Baseline, PostPassCallGraph};
+    let opts = opt::OptOptions::default();
+    let no_opt = opt::OptOptions {
+        max_rounds: 0,
+        ..opts
+    };
+    let licm = opt::OptOptions { licm: true, ..opts };
+    let alloc = AllocConfig::default();
+    let remat = AllocConfig {
+        rematerialize: true,
+        ..alloc
+    };
+    let no_coalesce = AllocConfig {
+        coalesce: false,
+        ..alloc
+    };
+    let caller_saved = |n| AllocConfig {
+        caller_saved: n,
+        ..alloc
+    };
+    let configs: [DesignConfig; 9] = [
+        ("baseline (opt, coalesce, no CCM)", opts, alloc, Baseline),
+        ("+ CCM post-pass", opts, alloc, PostPassCallGraph),
+        ("no scalar optimization", no_opt, alloc, Baseline),
+        ("with LICM (more pressure)", licm, alloc, Baseline),
+        ("with rematerialization", opts, remat, Baseline),
+        ("remat + CCM post-pass", opts, remat, PostPassCallGraph),
+        ("no coalescing", opts, no_coalesce, Baseline),
+        ("caller-saved = 8", opts, caller_saved(8), Baseline),
+        ("caller-saved = 16", opts, caller_saved(16), Baseline),
+    ];
+    let items: Vec<(usize, &'static str)> = (0..configs.len())
+        .flat_map(|ci| ABLATION_KERNELS.map(|name| (ci, name)))
+        .collect();
+    // A kernel's failure is data here, not recorded per item: each
+    // configuration records at most one.
+    let cells = error::par_contained(
+        jobs,
+        &items,
+        |(ci, name)| format!("design ablation `{}` on {name}", configs[*ci].0),
+        |(ci, name)| Ok(run_kernel(name, &configs[*ci])),
+    );
     let mut rows = Vec::new();
-    // A failed configuration is recorded and its row dropped; the other
-    // configurations still report.
-    let mut push = |label: &str, r: Result<DesignRow, PipelineError>| match r {
-        Ok(mut row) => {
-            row.config = label.to_string();
+    for ((label, ..), cells) in configs.iter().zip(cells.chunks(ABLATION_KERNELS.len())) {
+        let mut row = DesignRow {
+            config: label.to_string(),
+            spilled: 0,
+            spill_bytes: 0,
+            cycles: 0,
+        };
+        let mut complete = true;
+        for cell in cells {
+            match cell {
+                Some(Ok((spilled, spill_bytes, cycles))) => {
+                    row.spilled += spilled;
+                    row.spill_bytes += spill_bytes;
+                    row.cycles += cycles;
+                }
+                Some(Err(e)) => {
+                    error::record(PipelineError {
+                        unit: format!("design ablation `{label}` ({})", e.unit),
+                        ..e.clone()
+                    });
+                    complete = false;
+                    break;
+                }
+                // A worker panic, already recorded as `stage=exec`.
+                None => {
+                    complete = false;
+                    break;
+                }
+            }
+        }
+        if complete {
             rows.push(row);
         }
-        Err(e) => {
-            error::record(PipelineError {
-                unit: format!("design ablation `{label}` ({})", e.unit),
-                ..e
-            });
-        }
-    };
-    push(
-        "baseline (opt, coalesce, no CCM)",
-        run_config(&base_opts, &base_alloc, Variant::Baseline),
-    );
-    push(
-        "+ CCM post-pass",
-        run_config(&base_opts, &base_alloc, Variant::PostPassCallGraph),
-    );
-    push(
-        "no scalar optimization",
-        run_config(
-            &opt::OptOptions {
-                max_rounds: 0,
-                ..base_opts
-            },
-            &base_alloc,
-            Variant::Baseline,
-        ),
-    );
-    push(
-        "with LICM (more pressure)",
-        run_config(
-            &opt::OptOptions {
-                licm: true,
-                ..base_opts
-            },
-            &base_alloc,
-            Variant::Baseline,
-        ),
-    );
-    push(
-        "with rematerialization",
-        run_config(
-            &base_opts,
-            &AllocConfig {
-                rematerialize: true,
-                ..base_alloc
-            },
-            Variant::Baseline,
-        ),
-    );
-    push(
-        "remat + CCM post-pass",
-        run_config(
-            &base_opts,
-            &AllocConfig {
-                rematerialize: true,
-                ..base_alloc
-            },
-            Variant::PostPassCallGraph,
-        ),
-    );
-    push(
-        "no coalescing",
-        run_config(
-            &base_opts,
-            &AllocConfig {
-                coalesce: false,
-                ..base_alloc
-            },
-            Variant::Baseline,
-        ),
-    );
-    push(
-        "caller-saved = 8",
-        run_config(
-            &base_opts,
-            &AllocConfig {
-                caller_saved: 8,
-                ..base_alloc
-            },
-            Variant::Baseline,
-        ),
-    );
-    push(
-        "caller-saved = 16",
-        run_config(
-            &base_opts,
-            &AllocConfig {
-                caller_saved: 16,
-                ..base_alloc
-            },
-            Variant::Baseline,
-        ),
-    );
+    }
     rows
 }
 
@@ -328,7 +297,7 @@ mod tests {
 
     #[test]
     fn design_ablation_directions() {
-        let rows = design_ablation();
+        let rows = design_ablation(exec::available());
         let get = |label: &str| {
             rows.iter()
                 .find(|r| r.config.starts_with(label))

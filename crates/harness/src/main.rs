@@ -155,7 +155,7 @@ fn main() {
         println!("{}", harness::render_sweep(&pts));
     }
     if o.design {
-        let rows = exec::timed("repro", "design", 1, harness::design_ablation);
+        let rows = exec::timed("repro", "design", jobs, || harness::design_ablation(jobs));
         println!("{}", harness::render_design(&rows));
     }
     if o.sched {

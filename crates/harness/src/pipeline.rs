@@ -7,7 +7,6 @@
 //! spills recorded as [`ccm::Degradation`] events on the
 //! [`Measurement`] — the paper's §3.1 fallback, applied per function.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use ccm::Variant;
@@ -15,7 +14,7 @@ use iloc::Module;
 use regalloc::AllocConfig;
 use sim::{MachineConfig, Metrics};
 
-use crate::error::{PipelineError, Stage};
+use crate::error::{self, PipelineError, Stage};
 
 /// One measured configuration of one module.
 #[derive(Clone, Debug)]
@@ -50,6 +49,24 @@ pub struct Allocated {
     pub degraded: Arc<Vec<ccm::Degradation>>,
 }
 
+impl Allocated {
+    /// Runs the post-allocation checker on `module`, allocated for CCM
+    /// capacity `ccm_size` with `outcome`, and keeps every diagnostic.
+    pub(crate) fn checked(
+        module: Arc<Module>,
+        outcome: ccm::AllocOutcome,
+        ccm_size: u32,
+    ) -> Allocated {
+        let diags = check_allocated(&module, ccm_size);
+        Allocated {
+            module,
+            diags: Arc::new(diags),
+            spilled_ranges: outcome.spilled_ranges,
+            degraded: Arc::new(outcome.degraded),
+        }
+    }
+}
+
 /// Runs the post-allocation static checker on an allocated module,
 /// returning every diagnostic (the structural verifier is one of its
 /// passes, so this subsumes `m.verify()`).
@@ -77,22 +94,13 @@ pub fn allocate_checked(
     variant: Variant,
     ccm_size: u32,
 ) -> Result<Allocated, PipelineError> {
-    let (m, outcome) = catch_unwind(AssertUnwindSafe(move || {
+    let (m, outcome) = error::contain(Stage::Alloc, unit, move || {
         let mut m = m;
         let out = ccm::allocate(&mut m, variant, ccm_size, &AllocConfig::default());
         (m, out)
-    }))
-    .map_err(|payload| {
-        PipelineError::new(Stage::Alloc, unit, exec::render_payload(payload.as_ref()))
-            .at(variant, ccm_size)
-    })?;
-    let diags = check_allocated(&m, ccm_size);
-    Ok(Allocated {
-        module: Arc::new(m),
-        diags: Arc::new(diags),
-        spilled_ranges: outcome.spilled_ranges,
-        degraded: Arc::new(outcome.degraded),
     })
+    .map_err(|e| e.at(variant, ccm_size))?;
+    Ok(Allocated::checked(Arc::new(m), outcome, ccm_size))
 }
 
 /// Measures an allocated configuration: rejects it if the checker found

@@ -68,3 +68,18 @@ fn design_matches_golden() {
 fn sched_matches_golden() {
     check_golden(&["--sched"], "sched.txt");
 }
+
+#[test]
+fn sweep_matches_golden() {
+    check_golden(&["--sweep"], "sweep.txt");
+}
+
+#[test]
+fn figure4_matches_golden() {
+    check_golden(&["--figure4"], "figure4.txt");
+}
+
+#[test]
+fn multitask_matches_golden() {
+    check_golden(&["--multitask"], "multitask.txt");
+}
