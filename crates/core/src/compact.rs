@@ -8,7 +8,7 @@
 
 use iloc::{Function, Module, Op, SlotId, SpillKind};
 
-use crate::slots::SlotAnalysis;
+use crate::slots::{first_free_offset, overlaps, SlotAnalysis};
 
 /// Result of compacting one function's spill memory.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -54,22 +54,13 @@ pub fn compact_spill_memory(f: &mut Function) -> CompactStats {
         }
         let size = slot.size();
         // Lowest aligned offset whose byte range avoids every interfering
-        // already-placed slot — the paper's "try successive locations"
-        // search.
-        let mut off = next_aligned(base, size);
-        loop {
-            let candidate = (off, size);
-            let clash = analysis.adj[si].iter().any(|&other| {
-                placed[other]
-                    .map(|p| overlaps(candidate, p))
-                    .unwrap_or(false)
-            });
-            if !clash {
-                break;
-            }
-            off = next_aligned(off + 1, size);
-        }
-        placed[si] = Some((off, size));
+        // already-placed slot; with no upper limit the search always ends.
+        let off = first_free_offset(base, size, None, |candidate| {
+            analysis.adj[si]
+                .iter()
+                .any(|&other| placed[other].is_some_and(|p| overlaps(candidate, p)))
+        });
+        placed[si] = off.map(|off| (off, size));
     }
 
     // Rewrite slot offsets and the spill instructions that address them.
@@ -109,14 +100,6 @@ pub fn compact_module(m: &mut Module) -> Vec<(String, CompactStats)> {
         .iter_mut()
         .map(|f| (f.name.clone(), compact_spill_memory(f)))
         .collect()
-}
-
-fn next_aligned(x: u32, align: u32) -> u32 {
-    (x + align - 1) & !(align - 1)
-}
-
-fn overlaps(a: (u32, u32), b: (u32, u32)) -> bool {
-    a.0 < b.0 + b.1 && b.0 < a.0 + a.1
 }
 
 #[cfg(test)]

@@ -18,6 +18,7 @@
 //! clobbered by a callee. Offsets used by the *other* register class are
 //! never shared (the per-class interference graphs cannot see each other).
 
+use crate::slots::{first_free_offset, overlaps};
 use crate::Degradation;
 use iloc::{Function, Module, Reg, SpillSlot};
 use regalloc::{
@@ -62,14 +63,6 @@ impl CcmPlacer {
     }
 }
 
-fn overlaps(a: (u32, u32), b: (u32, u32)) -> bool {
-    a.0 < b.0 + b.1 && b.0 < a.0 + a.1
-}
-
-fn align_up(x: u32, align: u32) -> u32 {
-    (x + align - 1) & !(align - 1)
-}
-
 impl SpillPlacer for CcmPlacer {
     fn place(
         &mut self,
@@ -112,17 +105,9 @@ impl SpillPlacer for CcmPlacer {
         forbidden.extend(self.intervals[other].iter().copied());
 
         // Successive-location search from the bottom of the CCM.
-        let mut off = 0u32;
-        let placed = loop {
-            if off + size > self.ccm_size {
-                break None;
-            }
-            if forbidden.iter().any(|&iv| overlaps((off, size), iv)) {
-                off = align_up(off + 1, size);
-                continue;
-            }
-            break Some(off);
-        };
+        let placed = first_free_offset(0, size, Some(self.ccm_size), |candidate| {
+            forbidden.iter().any(|&iv| overlaps(candidate, iv))
+        });
 
         match placed {
             Some(off) => {

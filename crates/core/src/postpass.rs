@@ -21,7 +21,7 @@ use std::collections::HashMap;
 use analysis::CallGraph;
 use iloc::{Function, Module, Op, SlotId, SpillKind, SpillSlot};
 
-use crate::slots::SlotAnalysis;
+use crate::slots::{first_free_offset, overlaps, SlotAnalysis};
 
 /// Configuration for the post-pass allocator.
 #[derive(Clone, Copy, Debug)]
@@ -233,23 +233,11 @@ fn color_function_slots(
             continue;
         }
         let size = slot.size();
-        // Successive-location search from the slot's base.
-        let mut off = align_up(base[si], size);
-        let found = loop {
-            if off + size > cfg.ccm_size {
-                break None;
-            }
-            let candidate = (off, size);
-            let clash = analysis.adj[si].iter().any(|&other| {
-                placements[other]
-                    .map(|p| overlaps(candidate, p))
-                    .unwrap_or(false)
-            });
-            if !clash {
-                break Some(off);
-            }
-            off = align_up(off + 1, size);
-        };
+        let found = first_free_offset(base[si], size, Some(cfg.ccm_size), |candidate| {
+            analysis.adj[si]
+                .iter()
+                .any(|&other| placements[other].is_some_and(|p| overlaps(candidate, p)))
+        });
         match found {
             Some(ccm_off) => {
                 placements[si] = Some((ccm_off, size));
@@ -266,14 +254,6 @@ fn color_function_slots(
         ));
     }
     Ok((placements, promoted, heavyweight, high_water))
-}
-
-fn align_up(x: u32, align: u32) -> u32 {
-    (x + align - 1) & !(align - 1)
-}
-
-fn overlaps(a: (u32, u32), b: (u32, u32)) -> bool {
-    a.0 < b.0 + b.1 && b.0 < a.0 + a.1
 }
 
 #[cfg(test)]

@@ -198,6 +198,33 @@ impl SlotAnalysis {
     }
 }
 
+/// Whether the byte ranges `a` and `b`, each `(offset, size)`, overlap.
+pub(crate) fn overlaps(a: (u32, u32), b: (u32, u32)) -> bool {
+    a.0 < b.0 + b.1 && b.0 < a.0 + a.1
+}
+
+/// The paper's "try successive locations" search: the lowest
+/// `size`-aligned offset at or above `from` whose `(offset, size)` range
+/// does not `clash`, or `None` once that range would end past `limit`.
+pub(crate) fn first_free_offset(
+    from: u32,
+    size: u32,
+    limit: Option<u32>,
+    clash: impl Fn((u32, u32)) -> bool,
+) -> Option<u32> {
+    let align_up = |x: u32| (x + size - 1) & !(size - 1);
+    let mut off = align_up(from);
+    loop {
+        if limit.is_some_and(|l| off + size > l) {
+            return None;
+        }
+        if !clash((off, size)) {
+            return Some(off);
+        }
+        off = align_up(off + 1);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -31,11 +31,21 @@
 //! Minimization runs a *focused* oracle: only the failing variant at the
 //! failing CCM size (plus the baseline reference), which cuts shrink
 //! time by roughly the variant-count × size-count product.
+//!
+//! Shrinking can turn a terminating program into an infinite loop (say,
+//! by resolving the `cbr` that exits a loop). Every candidate therefore
+//! runs under a step budget scaled from the original's baseline run, so
+//! such a candidate traps in the baseline — a different bug — quickly.
 
-use ccm::Variant;
-use iloc::{BlockId, Instr, Module, Op};
+use iloc::{BlockId, Instr, Module, Op, Reg, RegClass};
+use sim::DEFAULT_MAX_STEPS;
 
-use crate::oracle::{run_oracle, Failure, OracleConfig};
+use crate::oracle::{run_oracle, run_oracle_bounded, Failure, OracleConfig};
+
+/// Candidate budget per baseline cycle of the original module.
+const BUDGET_FACTOR: u64 = 64;
+/// The smallest candidate budget, whatever the original's cycle count.
+const BUDGET_FLOOR: u64 = 100_000;
 
 /// Shrinks `m` to a smaller module that still fails the oracle with the
 /// same bug. Returns the minimized module and its failure, or `None` if
@@ -45,19 +55,16 @@ pub fn minimize(m: &Module, cfg: &OracleConfig) -> Option<(Module, Failure)> {
     // Focus the oracle on the failing configuration.
     let focused = OracleConfig {
         ccm_sizes: vec![orig.ccm],
-        variants: if orig.variant == Variant::Baseline {
-            vec![Variant::Baseline]
-        } else {
-            vec![orig.variant]
-        },
+        variants: vec![orig.variant],
         mutation: cfg.mutation,
         alloc: cfg.alloc,
     };
+    let budget = candidate_budget(m, &focused);
     let still_fails = |cand: &Module| -> Option<Failure> {
         if cand.verify().is_err() {
             return None;
         }
-        run_oracle(cand, &focused)
+        run_oracle_bounded(cand, &focused, budget)
             .err()
             .filter(|f| f.same_bug(&orig))
     };
@@ -75,6 +82,25 @@ pub fn minimize(m: &Module, cfg: &OracleConfig) -> Option<(Module, Failure)> {
         }
     }
     Some((cur, cur_fail))
+}
+
+/// The step budget for shrink candidates of `m`: [`BUDGET_FACTOR`] times
+/// the cycles of `m`'s baseline run under `focused`, at least
+/// [`BUDGET_FLOOR`] and at most [`DEFAULT_MAX_STEPS`]. A baseline that
+/// does not complete (the bug being minimized is the baseline's own)
+/// gives no cycle count to scale, so the default budget stands.
+fn candidate_budget(m: &Module, focused: &OracleConfig) -> u64 {
+    let baseline_only = OracleConfig {
+        variants: Vec::new(),
+        ..focused.clone()
+    };
+    match run_oracle(m, &baseline_only) {
+        Ok(stats) => stats
+            .base_cycles
+            .saturating_mul(BUDGET_FACTOR)
+            .clamp(BUDGET_FLOOR, DEFAULT_MAX_STEPS),
+        Err(_) => DEFAULT_MAX_STEPS,
+    }
 }
 
 /// Accepts `cand` if it still fails with the same bug, updating
@@ -103,12 +129,7 @@ fn stub_calls(m: &mut Module, name: &str) {
             for i in b.instrs.drain(..) {
                 match &i.op {
                     Op::Call { callee, rets, .. } if callee == name => {
-                        for &r in rets {
-                            out.push(Instr::new(match r.class() {
-                                iloc::RegClass::Gpr => Op::LoadI { imm: 0, dst: r },
-                                iloc::RegClass::Fpr => Op::LoadF { imm: 0.0, dst: r },
-                            }));
-                        }
+                        out.extend(rets.iter().map(|&r| zero_def(r)));
                     }
                     _ => out.push(i),
                 }
@@ -136,16 +157,13 @@ fn drop_functions(
             let mut cand = cur.clone();
             stub_calls(&mut cand, &name);
             cand.functions.retain(|f| f.name != name);
-            if try_accept(cur, fail, cand, still_fails) {
-                dropped = true;
-                progress = true;
-            }
+            dropped |= try_accept(cur, fail, cand, still_fails);
         }
         if !dropped {
-            break;
+            return progress;
         }
+        progress = true;
     }
-    progress
 }
 
 fn drop_blocks(
@@ -154,8 +172,7 @@ fn drop_blocks(
     still_fails: &impl Fn(&Module) -> Option<Failure>,
 ) -> bool {
     let mut progress = false;
-    loop {
-        let mut changed = false;
+    'rescan: loop {
         for fi in 0..cur.functions.len() {
             for bi in 0..cur.functions[fi].blocks.len() {
                 let Some(Op::Cbr {
@@ -171,24 +188,14 @@ fn drop_blocks(
                     f.blocks[bi].instrs[n - 1] = Instr::new(Op::Jump { target });
                     f.prune_unreachable();
                     if try_accept(cur, fail, cand, still_fails) {
-                        changed = true;
                         progress = true;
-                        break; // block indices shifted; rescan
+                        continue 'rescan; // block indices shifted
                     }
                 }
-                if changed {
-                    break;
-                }
-            }
-            if changed {
-                break;
             }
         }
-        if !changed {
-            break;
-        }
+        return progress;
     }
-    progress
 }
 
 /// Bypasses blocks that consist of a single unconditional `jump`: every
@@ -201,9 +208,8 @@ fn thread_jumps(
     still_fails: &impl Fn(&Module) -> Option<Failure>,
 ) -> bool {
     let mut progress = false;
-    loop {
-        let mut changed = false;
-        'scan: for fi in 0..cur.functions.len() {
+    'rescan: loop {
+        for fi in 0..cur.functions.len() {
             // The entry block stays: it defines the function's start.
             for bi in 1..cur.functions[fi].blocks.len() {
                 let b = &cur.functions[fi].blocks[bi];
@@ -226,17 +232,13 @@ fn thread_jumps(
                 }
                 cand.functions[fi].prune_unreachable();
                 if try_accept(cur, fail, cand, still_fails) {
-                    changed = true;
                     progress = true;
-                    break 'scan; // block ids shifted; rescan
+                    continue 'rescan; // block ids shifted
                 }
             }
         }
-        if !changed {
-            break;
-        }
+        return progress;
     }
-    progress
 }
 
 /// Constant zero definitions standing in for `instrs`' defs. Splicing
@@ -246,14 +248,17 @@ fn thread_jumps(
 fn stub_defs(instrs: &[Instr]) -> Vec<Instr> {
     let mut out = Vec::new();
     for i in instrs {
-        i.op.visit_defs(|r| {
-            out.push(Instr::new(match r.class() {
-                iloc::RegClass::Gpr => Op::LoadI { imm: 0, dst: r },
-                iloc::RegClass::Fpr => Op::LoadF { imm: 0.0, dst: r },
-            }));
-        });
+        i.op.visit_defs(|r| out.push(zero_def(r)));
     }
     out
+}
+
+/// `loadI 0` / `loadF 0.0` into `r`.
+fn zero_def(r: Reg) -> Instr {
+    Instr::new(match r.class() {
+        RegClass::Gpr => Op::LoadI { imm: 0, dst: r },
+        RegClass::Fpr => Op::LoadF { imm: 0.0, dst: r },
+    })
 }
 
 fn drop_ops(
@@ -363,9 +368,67 @@ fn shrink_globals(
 
 #[cfg(test)]
 mod tests {
+    use std::time::{Duration, Instant};
+
     use super::*;
     use crate::gen::gen_module;
-    use crate::oracle::{apply_mutation, CaseStats, Mutation};
+    use crate::oracle::{apply_mutation, CaseStats, FailureKind, Mutation};
+    use ccm::Variant;
+
+    /// Terminates after four trips around `loop`, but resolving its exit
+    /// `cbr` to the back edge (`drop_blocks`' first candidate) loops
+    /// forever. The floats live across the loop spill under `tiny(3)`.
+    const LOOPS_WHEN_SHRUNK: &str = "func main() rets gpr,fpr locals 0 {
+entry:
+    loadF 1.0 => %f100
+    loadF 2.0 => %f101
+    loadF 3.0 => %f102
+    loadI 0 => %r1
+    loadI 4 => %r2
+    jump -> loop
+loop:
+    addI %r1, 1 => %r1
+    cmp_lt %r1, %r2 => %r3
+    cbr %r3 -> loop, exit
+exit:
+    loadF 0.0 => %f152
+    fadd %f152, %f100 => %f153
+    fadd %f153, %f101 => %f154
+    fadd %f154, %f102 => %f155
+    ret %r1, %f155
+}";
+
+    /// The looping candidate traps in the baseline after at most the
+    /// budget derived from the original's baseline run, not the default
+    /// two billion steps, and is rejected as a different bug.
+    #[test]
+    fn looping_candidate_traps_within_the_derived_budget() {
+        let m = iloc::parse_module(LOOPS_WHEN_SHRUNK).unwrap();
+        let cfg = OracleConfig {
+            ccm_sizes: vec![64],
+            variants: vec![Variant::PostPass],
+            mutation: Some(Mutation::BumpCcmOffset),
+            alloc: regalloc::AllocConfig::tiny(3),
+        };
+        // The original's baseline runs a few dozen cycles: the floor rules.
+        assert_eq!(candidate_budget(&m, &cfg), BUDGET_FLOOR);
+        let text = LOOPS_WHEN_SHRUNK.replace("cbr %r3 -> loop, exit", "jump -> loop");
+        let mut looping = iloc::parse_module(&text).unwrap();
+        looping.functions[0].prune_unreachable();
+        let trap = run_oracle_bounded(&looping, &cfg, BUDGET_FLOOR).unwrap_err();
+        assert_eq!(
+            (trap.kind, trap.variant),
+            (FailureKind::Trap, Variant::Baseline)
+        );
+        assert!(trap.detail.contains("step limit"), "{}", trap.detail);
+
+        let start = Instant::now();
+        let (small, f) = minimize(&m, &cfg).expect("bug must be caught");
+        let took = start.elapsed();
+        assert!(took < Duration::from_secs(5), "minimize took {took:?}");
+        assert_eq!(f.kind, FailureKind::CheckerRejected);
+        assert!(!small.to_string().contains("cbr"), "{small}");
+    }
 
     /// The acceptance-criteria mutation test: an injected allocator bug
     /// must be caught and shrink to <= 2 functions / <= 12 ops. Runs

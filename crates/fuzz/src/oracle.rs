@@ -27,7 +27,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use ccm::Variant;
 use iloc::{Module, Op, SpillKind};
 use regalloc::AllocConfig;
-use sim::MachineConfig;
+use sim::{MachineConfig, DEFAULT_MAX_STEPS};
 
 /// A deliberate post-allocation bug, for testing the oracle itself.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -221,12 +221,13 @@ fn panicked(variant: Variant, ccm: u32, payload: &(dyn std::any::Any + Send)) ->
 }
 
 /// Checks and simulates `mm`, which `variant` allocated for a CCM of
-/// `ccm` bytes.
+/// `ccm` bytes, trapping after `max_steps` instructions.
 fn run_allocated(
     mm: &Module,
     variant: Variant,
     ccm: u32,
     alloc: &AllocConfig,
+    max_steps: u64,
 ) -> Result<VariantRun, Failure> {
     let fail = |kind, detail| Failure {
         kind,
@@ -238,7 +239,11 @@ fn run_allocated(
     if let Some(summary) = checker::error_summary(&diags) {
         return Err(fail(FailureKind::CheckerRejected, summary));
     }
-    match sim::run_module(mm, MachineConfig::with_ccm(ccm), "main") {
+    let machine = MachineConfig {
+        max_steps,
+        ..MachineConfig::with_ccm(ccm)
+    };
+    match sim::run_module(mm, machine, "main") {
         Ok((vals, metrics)) => Ok(VariantRun {
             ints: vals.ints,
             float_bits: vals.floats.iter().map(|f| f.to_bits()).collect(),
@@ -250,7 +255,7 @@ fn run_allocated(
 }
 
 /// Allocates a non-baseline `variant` for a CCM of `ccm` bytes, applies
-/// `mutation`, then checks and simulates the result. The integrated
+/// `cfg.mutation`, then checks and simulates the result. The integrated
 /// allocator starts from `m`; the post-pass variants promote a copy of
 /// `chaitin`, the shared Chaitin-Briggs allocation of `m`.
 fn run_variant(
@@ -258,26 +263,26 @@ fn run_variant(
     chaitin: &Module,
     variant: Variant,
     ccm: u32,
-    mutation: Option<Mutation>,
-    alloc: &AllocConfig,
+    cfg: &OracleConfig,
+    max_steps: u64,
 ) -> Result<VariantRun, Failure> {
     let mm = catch_unwind(AssertUnwindSafe(|| {
         let mut mm = if variant == Variant::Integrated {
             let mut mm = m.clone();
-            ccm::allocate(&mut mm, variant, ccm, alloc);
+            ccm::allocate(&mut mm, variant, ccm, &cfg.alloc);
             mm
         } else {
             let mut mm = chaitin.clone();
             ccm::promote(&mut mm, variant, ccm);
             mm
         };
-        if let Some(mu) = mutation {
+        if let Some(mu) = cfg.mutation {
             apply_mutation(&mut mm, mu);
         }
         mm
     }))
     .map_err(|p| panicked(variant, ccm, p.as_ref()))?;
-    run_allocated(&mm, variant, ccm, alloc)
+    run_allocated(&mm, variant, ccm, &cfg.alloc, max_steps)
 }
 
 /// Runs the full differential oracle on one module. The Chaitin-Briggs
@@ -289,6 +294,16 @@ fn run_variant(
 /// Returns the first [`Failure`] in deterministic (CCM size, variant)
 /// order.
 pub fn run_oracle(m: &Module, cfg: &OracleConfig) -> Result<CaseStats, Failure> {
+    run_oracle_bounded(m, cfg, DEFAULT_MAX_STEPS)
+}
+
+/// [`run_oracle`] with every simulation trapping after `max_steps`
+/// instructions. The minimizer bounds its shrink candidates this way.
+pub(crate) fn run_oracle_bounded(
+    m: &Module,
+    cfg: &OracleConfig,
+    max_steps: u64,
+) -> Result<CaseStats, Failure> {
     let mut stats = CaseStats {
         instrs: m.instr_count(),
         ..CaseStats::default()
@@ -301,7 +316,7 @@ pub fn run_oracle(m: &Module, cfg: &OracleConfig) -> Result<CaseStats, Failure> 
         catch_unwind(AssertUnwindSafe(|| ccm::chaitin(&mut chaitin, &cfg.alloc)))
             .map_err(|p| panicked(Variant::Baseline, first, p.as_ref()))?;
     for (i, &ccm) in cfg.ccm_sizes.iter().enumerate() {
-        let base = run_allocated(&chaitin, Variant::Baseline, ccm, &cfg.alloc)?;
+        let base = run_allocated(&chaitin, Variant::Baseline, ccm, &cfg.alloc, max_steps)?;
         if i == 0 {
             stats.base_cycles = base.cycles;
         }
@@ -309,7 +324,7 @@ pub fn run_oracle(m: &Module, cfg: &OracleConfig) -> Result<CaseStats, Failure> 
             if v == Variant::Baseline {
                 continue;
             }
-            let r = run_variant(m, &chaitin, v, ccm, cfg.mutation, &cfg.alloc)?;
+            let r = run_variant(m, &chaitin, v, ccm, cfg, max_steps)?;
             stats.ccm_ops += r.ccm_ops;
             if r.ints != base.ints || r.float_bits != base.float_bits {
                 return Err(Failure {

@@ -50,6 +50,7 @@ use std::hash::Hash;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use ccm::{AllocOutcome, Variant};
+use checker::CheckerConfig;
 use iloc::Module;
 use regalloc::AllocConfig;
 use sim::MachineConfig;
@@ -202,7 +203,8 @@ pub fn allocated(
             spilled_ranges: c.spilled_ranges,
             degraded,
         };
-        Ok(Allocated::checked(module, outcome, ccm_size))
+        let cfg = CheckerConfig::new(ccm_size);
+        Ok(Allocated::checked(module, outcome, &cfg))
     })
 }
 

@@ -8,8 +8,10 @@
 //! binary passes the value of `--jobs`.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use ccm::Variant;
+use iloc::Module;
 use sim::{CacheConfig, MachineConfig};
 
 use crate::cache;
@@ -127,15 +129,49 @@ impl SpeedupRow {
     }
 }
 
-/// Measures one kernel at one CCM size under all four variants, or
-/// `Ok(None)` if the kernel does not spill (the paper reports only
-/// routines that spill).
+/// Measures the three CCM variants of `unit` at `machine`, in the
+/// paper's column order, against its `baseline` measurement.
 ///
 /// # Errors
 ///
 /// Any stage failure from [`cache::measure_unit`]; additionally a CCM
 /// variant whose program checksum diverges from the baseline is a
 /// `stage=sim` error (the transformation changed observable behavior).
+fn measure_ccm_variants(
+    unit: &str,
+    m: &Arc<Module>,
+    baseline: &Measurement,
+    machine: &MachineConfig,
+) -> Result<[Measurement; 3], PipelineError> {
+    let measure = |v| {
+        let r = cache::measure_unit(unit, m, v, machine)?;
+        if r.checksum.to_bits() != baseline.checksum.to_bits() {
+            return Err(PipelineError::new(
+                Stage::Sim,
+                unit,
+                format!(
+                    "changed program output: checksum {} vs baseline {}",
+                    r.checksum, baseline.checksum
+                ),
+            )
+            .at(v, machine.ccm_size));
+        }
+        Ok(r)
+    };
+    Ok([
+        measure(Variant::PostPass)?,
+        measure(Variant::PostPassCallGraph)?,
+        measure(Variant::Integrated)?,
+    ])
+}
+
+/// Measures one kernel at one CCM size under all four variants, or
+/// `Ok(None)` if the kernel does not spill (the paper reports only
+/// routines that spill).
+///
+/// # Errors
+///
+/// As [`measure_ccm_variants`], plus any failure of the baseline run.
 fn measure_kernel(k: &suite::Kernel, ccm_size: u32) -> Result<Option<SpeedupRow>, PipelineError> {
     let machine = MachineConfig::with_ccm(ccm_size);
     let m = cache::optimized(k)?;
@@ -143,26 +179,8 @@ fn measure_kernel(k: &suite::Kernel, ccm_size: u32) -> Result<Option<SpeedupRow>
     if baseline.spilled_ranges == 0 {
         return Ok(None);
     }
-    let postpass = cache::measure_unit(k.name, &m, Variant::PostPass, &machine)?;
-    let postpass_cg = cache::measure_unit(k.name, &m, Variant::PostPassCallGraph, &machine)?;
-    let integrated = cache::measure_unit(k.name, &m, Variant::Integrated, &machine)?;
-    for (v, r) in [
-        (Variant::PostPass, &postpass),
-        (Variant::PostPassCallGraph, &postpass_cg),
-        (Variant::Integrated, &integrated),
-    ] {
-        if r.checksum.to_bits() != baseline.checksum.to_bits() {
-            return Err(PipelineError::new(
-                Stage::Sim,
-                k.name,
-                format!(
-                    "changed program output: checksum {} vs baseline {}",
-                    r.checksum, baseline.checksum
-                ),
-            )
-            .at(v, ccm_size));
-        }
-    }
+    let [postpass, postpass_cg, integrated] =
+        measure_ccm_variants(k.name, &m, &baseline, &machine)?;
     Ok(Some(SpeedupRow {
         name: k.name.to_string(),
         baseline,
@@ -328,33 +346,13 @@ pub fn figure_jobs(ccm_size: u32, jobs: usize) -> Vec<ProgramRow> {
         |p| {
             let m = cache::program(p)?;
             let base = cache::measure_unit(p.name, &m, Variant::Baseline, &machine)?;
-            let mut rel = [(1.0, 1.0); 3];
-            for (i, v) in [
-                Variant::PostPass,
-                Variant::PostPassCallGraph,
-                Variant::Integrated,
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                let r = cache::measure_unit(p.name, &m, v, &machine)?;
-                if r.checksum.to_bits() != base.checksum.to_bits() {
-                    return Err(PipelineError::new(
-                        Stage::Sim,
-                        p.name,
-                        format!(
-                            "changed program output: checksum {} vs baseline {}",
-                            r.checksum, base.checksum
-                        ),
-                    )
-                    .at(v, ccm_size));
-                }
-                // Same zero-denominator clamp as `SpeedupRow::rel`.
-                rel[i] = (
+            // Same zero-denominator clamp as `SpeedupRow::rel`.
+            let rel = measure_ccm_variants(p.name, &m, &base, &machine)?.map(|r| {
+                (
                     r.cycles as f64 / base.cycles.max(1) as f64,
                     r.mem_cycles as f64 / base.mem_cycles.max(1) as f64,
-                );
-            }
+                )
+            });
             Ok(ProgramRow {
                 name: p.name.to_string(),
                 baseline: (base.cycles, base.mem_cycles),
@@ -526,7 +524,7 @@ pub fn check_suite_jobs(sizes: &[u32], jobs: usize) -> Vec<CheckRow> {
         .collect();
     // A unit whose build fails is recorded and dropped here; every later
     // item indexes into the surviving builds only.
-    let built: Vec<(String, std::sync::Arc<iloc::Module>)> = error::par_contained(
+    let built: Vec<(String, Arc<Module>)> = error::par_contained(
         jobs,
         &units,
         |u| {

@@ -3,11 +3,15 @@
 //! choices DESIGN.md calls out — scalar optimization, LICM, coalescing,
 //! and the calling convention.
 
+use std::sync::Arc;
+
 use ccm::Variant;
+use checker::CheckerConfig;
 use regalloc::AllocConfig;
 use sim::MachineConfig;
 
 use crate::error::{self, PipelineError, Stage};
+use crate::pipeline::{measure_allocated, Allocated};
 
 /// One point on the CCM sizing curve.
 #[derive(Clone, Copy, Debug)]
@@ -112,8 +116,9 @@ const ABLATION_KERNELS: [&str; 5] = ["fpppp", "radf5", "deseco", "urand", "erhs"
 /// options and allocation variant.
 type DesignConfig = (&'static str, opt::OptOptions, AllocConfig, Variant);
 
-/// Builds, allocates and simulates one kernel under a configuration,
-/// returning its spilled ranges, main-memory spill bytes and cycles.
+/// Builds, allocates, checks and simulates one kernel under a
+/// configuration, returning its spilled ranges, main-memory spill bytes
+/// and cycles.
 fn run_kernel(
     name: &'static str,
     (_, opts, alloc, variant): &DesignConfig,
@@ -126,16 +131,16 @@ fn run_kernel(
         ..*opts
     };
     opt::optimize_module(&mut m, &o);
-    let spilled = ccm::allocate(&mut m, *variant, 512, alloc).spilled_ranges;
+    let outcome = ccm::allocate(&mut m, *variant, 512, alloc);
     if *variant != Variant::Baseline {
         // Paper, footnote 3: repack the remaining heavyweight slots so
         // the reported spill space is honest.
         ccm::compact_module(&mut m);
     }
-    let spill_bytes = m.functions.iter().map(|f| f.frame.spill_bytes()).sum();
-    let (_, metrics) = sim::run_module(&m, MachineConfig::with_ccm(512), "main")
-        .map_err(|e| PipelineError::new(Stage::Sim, name, e.to_string()))?;
-    Ok((spilled, spill_bytes, metrics.cycles))
+    let cfg = CheckerConfig::with_alloc(512, *alloc);
+    let a = Allocated::checked(Arc::new(m), outcome, &cfg);
+    let r = measure_allocated(name, &a, *variant, &MachineConfig::with_ccm(512))?;
+    Ok((r.spilled_ranges, r.spill_bytes, r.cycles))
 }
 
 /// Ablates the design choices: scalar optimization on/off, LICM on/off,
@@ -371,18 +376,13 @@ pub fn scheduling_study(jobs: usize) -> Vec<SchedRow> {
                 if pre_sched {
                     sched::schedule_module(&mut m, 3);
                 }
-                let spilled =
-                    ccm::allocate(&mut m, variant, 512, &AllocConfig::default()).spilled_ranges;
+                let outcome = ccm::allocate(&mut m, variant, 512, &AllocConfig::default());
                 if post_sched {
                     sched::schedule_module(&mut m, 3);
                 }
-                m.verify().map_err(|e| {
-                    PipelineError::new(Stage::Checker, *name, format!("({label}): {e}"))
-                })?;
-                let (_, metrics) = sim::run_module(&m, machine.clone(), "main").map_err(|e| {
-                    PipelineError::new(Stage::Sim, *name, format!("({label}): {e}"))
-                })?;
-                Ok((spilled, metrics.stall_cycles, metrics.cycles))
+                let a = Allocated::checked(Arc::new(m), outcome, &CheckerConfig::new(512));
+                let r = measure_allocated(&format!("{name} ({label})"), &a, variant, &machine)?;
+                Ok((r.spilled_ranges, r.metrics.stall_cycles, r.cycles))
             },
         );
         let mut row = SchedRow {

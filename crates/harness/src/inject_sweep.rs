@@ -113,37 +113,28 @@ fn point_ccm_coloring(m: &Module) -> Result<String, String> {
     Ok(lines.join("; "))
 }
 
-/// `alloc.panic`: an allocator panic is contained as `stage=alloc`.
-fn point_alloc_panic(m: &Module) -> Result<String, String> {
-    inject::arm("alloc.panic").map_err(|e| e.to_string())?;
-    let r = measure(m, Variant::PostPassCallGraph);
+/// Drives the points whose firing surfaces as one measurement's error:
+/// an allocator panic as `stage=alloc`, a checker rejection gating
+/// simulation as `stage=checker`, and an exhausted instruction budget or
+/// a bad global resolution as `stage=sim`. Any other point has no sweep
+/// workload and fails.
+fn point_error(m: &Module, point: &str) -> Result<String, String> {
+    use Variant::{Baseline, PostPassCallGraph};
+    let (variant, stage, needle) = match point {
+        "alloc.panic" => (PostPassCallGraph, Stage::Alloc, "injected allocator panic"),
+        "checker.forced_error" => (PostPassCallGraph, Stage::Checker, "injected checker error"),
+        "sim.budget" => (Baseline, Stage::Sim, "step limit"),
+        "sim.unknown_global" => (Baseline, Stage::Sim, "unknown global"),
+        other => {
+            return Err(format!(
+                "no sweep workload drives `{other}` — register one in inject_sweep.rs"
+            ))
+        }
+    };
+    inject::arm(point).map_err(|e| e.to_string())?;
+    let r = measure(m, variant);
     inject::disarm();
-    expect_err(r, Stage::Alloc, "injected allocator panic")
-}
-
-/// `checker.forced_error`: a checker rejection gates simulation as
-/// `stage=checker`.
-fn point_checker(m: &Module) -> Result<String, String> {
-    inject::arm("checker.forced_error").map_err(|e| e.to_string())?;
-    let r = measure(m, Variant::PostPassCallGraph);
-    inject::disarm();
-    expect_err(r, Stage::Checker, "injected checker error")
-}
-
-/// `sim.budget`: an exhausted instruction budget is `stage=sim`.
-fn point_sim_budget(m: &Module) -> Result<String, String> {
-    inject::arm("sim.budget").map_err(|e| e.to_string())?;
-    let r = measure(m, Variant::Baseline);
-    inject::disarm();
-    expect_err(r, Stage::Sim, "step limit")
-}
-
-/// `sim.unknown_global`: a bad global resolution is `stage=sim`.
-fn point_sim_unknown_global(m: &Module) -> Result<String, String> {
-    inject::arm("sim.unknown_global").map_err(|e| e.to_string())?;
-    let r = measure(m, Variant::Baseline);
-    inject::disarm();
-    expect_err(r, Stage::Sim, "unknown global")
+    expect_err(r, stage, needle)
 }
 
 /// `cache.corrupt_measurement`: the first call seals a corrupted entry
@@ -225,15 +216,9 @@ pub fn run_sweep(jobs: usize) -> Vec<SweepOutcome> {
         let verdict = match (&module, p.name) {
             (Err(e), _) => Err(format!("workload unavailable: {e}")),
             (Ok(m), "alloc.ccm_coloring") => point_ccm_coloring(m),
-            (Ok(m), "alloc.panic") => point_alloc_panic(m),
-            (Ok(m), "checker.forced_error") => point_checker(m),
-            (Ok(m), "sim.budget") => point_sim_budget(m),
-            (Ok(m), "sim.unknown_global") => point_sim_unknown_global(m),
             (Ok(m), "cache.corrupt_measurement") => point_cache_corruption(m),
             (Ok(_), "exec.worker_panic") => point_exec_worker_panic(jobs),
-            (Ok(_), other) => Err(format!(
-                "no sweep workload drives `{other}` — register one in inject_sweep.rs"
-            )),
+            (Ok(m), other) => point_error(m, other),
         };
         // Never let one point's arming leak into the next.
         inject::disarm();

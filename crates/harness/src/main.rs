@@ -11,10 +11,9 @@
 //! drops its row and is recorded; every remaining experiment still
 //! runs. At the end of the run the aggregated failure report is printed
 //! to stderr (and as JSON on stdout with `--errors-json`), and only
-//! then does the process exit nonzero. `--sim-budget N` caps every
-//! simulation at N instruction steps (the runaway-loop watchdog);
-//! `--inject-sweep` fires each registered fault point one at a time and
-//! asserts the pipeline survives with the expected structured failure.
+//! then does the process exit nonzero. `--inject-sweep` fires each
+//! registered fault point one at a time and asserts the pipeline
+//! survives with the expected structured failure.
 
 use harness::cli::Args;
 use harness::{error, inject_sweep, report};
@@ -22,7 +21,7 @@ use harness::{error, inject_sweep, report};
 const USAGE: &str = "usage: repro [--table1] [--table2] [--table3] [--table4] \
      [--figure3] [--figure4] [--ablation] [--sweep] [--design] [--sched] [--multitask] \
      [--check[=json]] [--csv [DIR]] [--fuzz N [--seed S]] [--inject-sweep] \
-     [--sim-budget N] [--errors-json] [--jobs N] [--all]";
+     [--errors-json] [--jobs N] [--all]";
 
 #[derive(Default)]
 struct Opts {
@@ -72,7 +71,6 @@ fn parse(mut args: Args) -> Opts {
             }
             "--inject-sweep" => o.inject_sweep = true,
             "--errors-json" => o.errors_json = true,
-            "--sim-budget" => sim::set_default_max_steps(args.at_least("--sim-budget", 1)),
             // Optional directory operand; defaults to `results`.
             "--csv" => o.csv = Some(args.optional_operand().unwrap_or("results".into()).into()),
             "--fuzz" => o.fuzz = Some(args.at_least("--fuzz", 1)),

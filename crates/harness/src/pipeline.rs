@@ -10,6 +10,7 @@
 use std::sync::Arc;
 
 use ccm::Variant;
+use checker::CheckerConfig;
 use iloc::Module;
 use regalloc::AllocConfig;
 use sim::{MachineConfig, Metrics};
@@ -41,7 +42,7 @@ pub struct Measurement {
 pub struct Allocated {
     /// The module after [`ccm::allocate`].
     pub module: Arc<Module>,
-    /// Every diagnostic from [`check_allocated`].
+    /// Every diagnostic from the post-allocation checker.
     pub diags: Arc<Vec<checker::Diagnostic>>,
     /// Live ranges spilled during allocation.
     pub spilled_ranges: usize,
@@ -50,17 +51,16 @@ pub struct Allocated {
 }
 
 impl Allocated {
-    /// Runs the post-allocation checker on `module`, allocated for CCM
-    /// capacity `ccm_size` with `outcome`, and keeps every diagnostic.
+    /// Runs the post-allocation checker under `cfg` on `module`,
+    /// allocated with `outcome`, and keeps every diagnostic.
     pub(crate) fn checked(
         module: Arc<Module>,
         outcome: ccm::AllocOutcome,
-        ccm_size: u32,
+        cfg: &CheckerConfig,
     ) -> Allocated {
-        let diags = check_allocated(&module, ccm_size);
         Allocated {
+            diags: Arc::new(checker::check_module(&module, cfg)),
             module,
-            diags: Arc::new(diags),
             spilled_ranges: outcome.spilled_ranges,
             degraded: Arc::new(outcome.degraded),
         }
@@ -71,7 +71,7 @@ impl Allocated {
 /// returning every diagnostic (the structural verifier is one of its
 /// passes, so this subsumes `m.verify()`).
 pub fn check_allocated(m: &Module, ccm_size: u32) -> Vec<checker::Diagnostic> {
-    checker::check_module(m, &checker::CheckerConfig::new(ccm_size))
+    checker::check_module(m, &CheckerConfig::new(ccm_size))
 }
 
 /// Applies `variant` allocation (with CCM capacity `ccm_size`) to an
@@ -100,7 +100,8 @@ pub fn allocate_checked(
         (m, out)
     })
     .map_err(|e| e.at(variant, ccm_size))?;
-    Ok(Allocated::checked(Arc::new(m), outcome, ccm_size))
+    let cfg = CheckerConfig::new(ccm_size);
+    Ok(Allocated::checked(Arc::new(m), outcome, &cfg))
 }
 
 /// Measures an allocated configuration: rejects it if the checker found
@@ -145,9 +146,10 @@ pub fn measure_allocated(
 ///
 /// Every stage failure is structured: an allocator panic becomes
 /// `stage=alloc`, a checker rejection `stage=checker`, and a simulator
-/// trap (unknown global, out-of-bounds access, exhausted `--sim-budget`)
-/// `stage=sim`. CCM coloring failures are *not* errors — the affected
-/// function degrades to heavyweight spills and the event is recorded in
+/// trap (unknown global, out-of-bounds access, exhausted
+/// [`MachineConfig::max_steps`] budget) `stage=sim`. CCM coloring
+/// failures are *not* errors — the affected function degrades to
+/// heavyweight spills and the event is recorded in
 /// [`Measurement::degraded`].
 pub fn measure(
     m: Module,

@@ -1,18 +1,17 @@
 //! Fault-injection integration tests: every registered fault point is
 //! fired against the real pipeline and the run must survive with the
 //! expected structured failure. This lives in its own test binary
-//! because arming (`inject::arm`) and the simulator's default step
-//! budget are process-global — each test takes the shared guard so two
-//! armed tests never interleave, and no other binary's tests share the
-//! process.
+//! because arming (`inject::arm`) is process-global — each test takes
+//! the shared guard so two armed tests never interleave, and no other
+//! binary's tests share the process.
 
 use std::sync::{Mutex, MutexGuard};
 
 use harness::{inject_sweep, Variant};
 use sim::MachineConfig;
 
-/// Serializes tests that touch process-global state (arming, the
-/// default sim budget, the panic hook).
+/// Serializes tests that touch process-global state (arming, the panic
+/// hook).
 fn guard() -> MutexGuard<'static, ()> {
     static G: Mutex<()> = Mutex::new(());
     G.lock().unwrap_or_else(|p| p.into_inner())
@@ -173,31 +172,4 @@ fn exec_panic_containment_reports_are_job_count_invariant() {
     assert_eq!(serial, j9, "jobs=9 failure report diverged");
     assert!(serial.contains("fail unit 2: worker panic: seeded failure at 2"));
     assert_eq!(serial.matches("fail ").count(), 6); // 2,9,16,23,30,37
-}
-
-/// `--sim-budget` wiring: the process-wide default step budget feeds
-/// `MachineConfig::default()` and surfaces as a structured `stage=sim`
-/// step-limit error (the runaway-loop watchdog), then restores cleanly.
-#[test]
-fn sim_budget_override_acts_as_watchdog() {
-    let _g = guard();
-    let k = suite::kernel("radf5").expect("kernel exists");
-    let m = suite::build_optimized(&k);
-    sim::set_default_max_steps(100);
-    let machine = MachineConfig {
-        ccm_size: 512,
-        ..MachineConfig::default()
-    };
-    assert_eq!(machine.max_steps, 100, "default() must pick up the budget");
-    let err = harness::measure(m.clone(), Variant::Baseline, &machine).unwrap_err();
-    sim::set_default_max_steps(sim::DEFAULT_MAX_STEPS);
-    assert_eq!(err.stage, harness::Stage::Sim);
-    assert!(err.detail.contains("step limit"), "{err}");
-    // Back at the default budget the kernel completes.
-    let ok = must(harness::measure(
-        m,
-        Variant::Baseline,
-        &MachineConfig::with_ccm(512),
-    ));
-    assert!(ok.checksum.is_finite());
 }
